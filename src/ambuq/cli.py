@@ -234,15 +234,25 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _require_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} exceeds the floating-point range ({value!r})")
+
+
 def _cmd_mfpt(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Everything is computed and checked before any file is written, so an
+    # overflow leaves no partial output behind.
     profiles = []
     for m in scenario.servers:
         params = _params_for(scenario, m)
         profile = mfpt_critical_profile(params)
+        # T(0) is the largest entry, so every time is finite when it is
+        _require_finite(profile.times[0], f"saturation time T(0) for servers={m}")
+        _require_finite(profile.mean_time, f"mean saturation time for servers={m}")
         profiles.append({
             "servers": m,
             "times": list(profile.times),
@@ -252,10 +262,14 @@ def _cmd_mfpt(args) -> int:
             f"M={m}: T(0)={_fmt_minutes(profile.times[0], args.hours)} "
             f"<T>={_fmt_minutes(profile.mean_time, args.hours)}"
         )
-    _write_json(out_dir / "mfpt.json", profiles[0] if len(profiles) == 1 else profiles)
-
+    rows = None
     if scenario.t_call_grid is not None:
         rows = mfpt_sweep(scenario.t_service_min, scenario.servers, scenario.t_call_grid)
+        for t_call, m, mean_time in rows:
+            _require_finite(mean_time, f"sweep mean time for servers={m}, t_call={t_call:g}")
+
+    _write_json(out_dir / "mfpt.json", profiles[0] if len(profiles) == 1 else profiles)
+    if rows is not None:
         write_sweep_csv(rows, out_dir / "mfpt_sweep.csv")
         print(f"wrote {out_dir / 'mfpt_sweep.csv'} ({len(rows)} rows)")
     print(f"wrote {out_dir / 'mfpt.json'}")

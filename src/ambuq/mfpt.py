@@ -1,13 +1,13 @@
 """Mean first-passage times of the occupancy walk to fleet saturation.
 
 The walk reflects at 0 and saturates on first entry into state M+1 (all
-servers assigned and one call newly queued). ``mfpt_critical_profile``
-evaluates the closed form specialized to the fleet ladder,
-``mfpt_general`` the nested sum/product expression for an arbitrary
-ladder, and ``mfpt_linear_solve`` an independent tridiagonal-system
-oracle used to cross-check both.
+servers assigned and one call newly queued). ``mfpt_critical_profile`` and
+``mfpt_sweep`` sum the one-term recurrence of the fleet ladder in O(M) per
+call spacing. ``mfpt_general`` evaluates the nested sum/product expression
+for an arbitrary ladder, and ``mfpt_linear_solve`` an independent
+tridiagonal-system oracle; both cross-check the recurrence.
 
-All nested sums are evaluated with running products extended one factor
+The nested sums are evaluated with running products extended one factor
 at a time (never factorials or separate powers), so intermediates stay
 representable whenever the result itself is.
 """
@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError, UnreachableTargetError
-from .params import RateLadder, SystemParams, derive
+from .params import RateLadder, SystemParams
 
 SWEEP_CSV_HEADER = "t_call_min,servers,mean_time_to_critical_min"
 
@@ -80,55 +81,44 @@ def mfpt_general(ladder: RateLadder, start: int, target: int) -> float:
     return _time_from_origin(ladder, target) - _time_from_origin(ladder, start)
 
 
+def _offsets(params: SystemParams) -> Iterator[float]:
+    """Yield h(0), h(1), ...: the mean time to first step from n up to n+1.
+
+    h(0) = t_call and h(n) = t_call * (1 + n * mu * h(n-1)). For n <= M the
+    fleet cap on the service rate is not reached, so h(n) does not depend on
+    the fleet size and one pass serves every fleet up to the last one read.
+    A value past the float range is inf, and so is every later one.
+    """
+    t_call = params.t_call
+    mu = params.service_rate
+    h = t_call
+    n = 0
+    while True:
+        yield h
+        n += 1
+        h = t_call * (1.0 + n * mu * h)
+
+
 def mfpt_critical_profile(params: SystemParams) -> MfptProfile:
     """Saturation-time profile T(0..M) for the fleet ladder.
 
-    Specializes the hitting-time sums using the rate ratio at state j,
-    j * (service rate / arrival rate) = j * gamma. Valid for any traffic
-    intensity; no steady state is required. O(M^2) time, O(M) memory.
+    T(n) = sum_{k=n..M} h(k) with the one-term recurrence of ``_offsets``,
+    and the initial-state average is sum_k (k+1) h(k) / (M+1). Valid for any
+    traffic intensity; no steady state is required. O(M) time and memory.
+    Every term is positive, so a time past the float range comes out as inf
+    (never nan), as does every time before it and ``mean_time``.
     """
     m = params.servers
-    gamma = derive(params).gamma
-    t_call = params.t_call
-
-    # row_prod[k] / row_inner[k] are the running product and partial sum
-    # of prod_{j=k+1}^{i} (j*gamma) as the frontier i advances; row k only
-    # starts once the frontier passes k.
-    row_prod = [1.0] * m
-    row_inner = [0.0] * m
-    # deficit[n] = n + sum_{k=0}^{n-2} row_inner[k] at frontier n-1, the
-    # amount (in units of t_call) by which T(n) trails T(0), for n >= 2.
-    deficit = [0.0] * (m + 1)
-    frontier = 0
-    for n in range(2, m + 1):
-        while frontier < n - 1:
-            frontier += 1
-            factor = frontier * gamma
-            for k in range(frontier):
-                row_prod[k] *= factor
-                row_inner[k] += row_prod[k]
-        acc = 0.0
-        for k in range(n - 1):
-            acc += row_inner[k]
-        deficit[n] = n + acc
-    while frontier < m:
-        frontier += 1
-        factor = frontier * gamma
-        for k in range(frontier):
-            row_prod[k] *= factor
-            row_inner[k] += row_prod[k]
-    full = 0.0
-    for k in range(m):
-        full += row_inner[k]
-
+    offsets = list(islice(_offsets(params), m + 1))
     times = [0.0] * (m + 1)
-    times[0] = t_call * ((m + 1) + full)
-    times[1] = times[0] - t_call
-    for n in range(2, m + 1):
-        times[n] = times[0] - t_call * deficit[n]
-
-    mean_time = sum(times) / (m + 1)
-    return MfptProfile(times=tuple(times), mean_time=mean_time)
+    tail = 0.0
+    for n in range(m, -1, -1):
+        tail += offsets[n]
+        times[n] = tail
+    weighted = 0.0
+    for k, h in enumerate(offsets):
+        weighted += (k + 1) * h
+    return MfptProfile(times=tuple(times), mean_time=weighted / (m + 1))
 
 
 def mfpt_linear_solve(ladder: RateLadder, target: int) -> list[float]:
@@ -171,17 +161,28 @@ def mfpt_sweep(
     """Average saturation time over a (fleet size, call spacing) grid.
 
     Returns one (t_call, servers, mean_time) row per grid point, fleet-major
-    so each curve is contiguous for plotting.
+    so each curve is contiguous for plotting. Each mean_time equals
+    ``mfpt_critical_profile(...).mean_time`` at that point; one recurrence
+    per call spacing, read at every fleet, supplies them all.
     """
     if not servers_list or not t_call_grid:
         raise ParameterError("servers_list and t_call_grid must be non-empty")
-    rows = []
-    for m in servers_list:
-        for t_call in t_call_grid:
-            params = SystemParams(t_call=t_call, t_service=t_service, servers=m)
-            profile = mfpt_critical_profile(params)
-            rows.append((params.t_call, params.servers, profile.mean_time))
-    return rows
+    fleets = [
+        SystemParams(t_call=t_call_grid[0], t_service=t_service, servers=m).servers
+        for m in servers_list
+    ]
+    wanted = set(fleets)
+    by_t_call = []
+    for t_call in t_call_grid:
+        params = SystemParams(t_call=t_call, t_service=t_service, servers=1)
+        means = {}
+        weighted = 0.0
+        for k, h in zip(range(max(fleets) + 1), _offsets(params)):
+            weighted += (k + 1) * h
+            if k in wanted:
+                means[k] = weighted / (k + 1)
+        by_t_call.append((params.t_call, means))
+    return [(t_call, m, means[m]) for m in fleets for t_call, means in by_t_call]
 
 
 def write_sweep_csv(rows: Iterable[tuple[float, int, float]], path) -> None:

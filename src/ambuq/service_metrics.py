@@ -14,7 +14,10 @@ from dataclasses import asdict, dataclass
 
 from .errors import NoSteadyStateError, ParameterError
 from .params import SystemParams, derive
-from .steady_state import _occupancy_weights, p_occupation
+from .steady_state import p_occupation
+
+# Not called here; perfbench/tracing.py wraps this name in this module.
+from .steady_state import _occupancy_weights
 
 
 @dataclass(frozen=True)
@@ -97,17 +100,14 @@ def p_server_busy(params: SystemParams) -> float:
 
     Under random assignment among idle servers a tagged server is busy with
     probability n/M in state n < M and surely once n >= M; averaging over
-    the stationary law gives (1/S) (sum_{n<M} n/M * a^n/n! + a^M/(M! (1-rho))).
-    Algebraically this collapses to rho; both routes are asserted equal in
-    the tests, and the summed form is what this returns.
+    the stationary law gives (1/S) (sum_{n<M} n/M * a^n/n! + a^M/(M! (1-rho))),
+    which collapses to rho. This returns the identity; the summed form is
+    kept in the tests as its check.
     """
-    weights, norm, rho = _occupancy_weights(params)
-    m = params.servers
-    busy = 0.0
-    for n in range(1, m):
-        busy += weights[n] * n / m
-    busy += weights[m] / (1.0 - rho)
-    return busy / norm
+    d = derive(params)
+    if not d.rho < 1.0:
+        raise NoSteadyStateError(d.rho)
+    return d.rho
 
 
 def throughput(params: SystemParams) -> float:

@@ -1,18 +1,27 @@
 """Inverse fleet-size queries: smallest M meeting a performance target.
 
 Monotonicity of the probability targets in M is empirically solid but not
-proven, so the search is a plain ascending scan; fleets are small integers
-and correctness beats speed here.
+proven, so the search is an ascending scan that stops only at the first
+fleet meeting the target. The scan is incremental: each fleet extends the
+previous fleet's Erlang-B blocking value or saturation-time prefix sum, so
+a fleet costs O(1). The metrics use the same expressions as
+``p_occupation``, ``level_of_service`` and ``mfpt_critical_profile``, so
+every value equals what those return at that fleet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
-from .errors import ParameterError
-from .mfpt import mfpt_critical_profile
+from .errors import NoSteadyStateError, ParameterError
+from .mfpt import _offsets
 from .params import SystemParams, derive
+
+# The scan calls none of these; perfbench/tracing.py wraps them by name here.
+from .mfpt import mfpt_critical_profile
 from .service_metrics import level_of_service
 from .steady_state import p_occupation
 
@@ -80,6 +89,40 @@ def stability_bound(t_call: float, t_service: float) -> int:
     return math.floor(d.offered_load) + 1
 
 
+def _metric_by_fleet(kind: str, params: SystemParams, t_los: float | None) -> Iterator[float]:
+    """The query's metric at fleets params.servers, params.servers + 1, ...
+
+    Raises NoSteadyStateError, as p_occupation does, if an occupation or LOS
+    value is asked for at a fleet with traffic intensity >= 1.
+    """
+    a = derive(params).offered_load
+    if kind == "stability":
+        for m in count(params.servers):
+            yield a / m
+    elif kind == "mfpt_horizon":
+        weighted = 0.0
+        for k, h in enumerate(_offsets(params)):
+            weighted += (k + 1) * h
+            if k >= params.servers:
+                yield weighted / (k + 1)
+    else:
+        mu = params.service_rate
+        blocking = 1.0
+        for n in range(1, params.servers):
+            blocking = a * blocking / (n + a * blocking)
+        for m in count(params.servers):
+            blocking = a * blocking / (m + a * blocking)
+            rho = a / m
+            if not rho < 1.0:
+                raise NoSteadyStateError(rho)
+            occup = blocking / (1.0 - rho * (1.0 - blocking))
+            if kind == "occup_ceiling":
+                yield occup
+            else:
+                rate = (1.0 - rho) * m * mu
+                yield 1.0 - occup * math.exp(-rate * t_los)
+
+
 def min_fleet(t_call: float, t_service: float, query: SizingQuery) -> SizingResult:
     """Scan fleet sizes upward until the query's predicate first holds."""
     start = 1 if query.kind == "mfpt_horizon" else stability_bound(t_call, t_service)
@@ -89,23 +132,17 @@ def min_fleet(t_call: float, t_service: float, query: SizingQuery) -> SizingResu
             scanned=(start, query.m_max), found=False,
         )
 
+    params = SystemParams(t_call=t_call, t_service=t_service, servers=start)
+    values = _metric_by_fleet(query.kind, params, query.t_los)
     best = None
-    for m in range(start, query.m_max + 1):
-        params = SystemParams(t_call=t_call, t_service=t_service, servers=m)
+    for m, value in zip(range(start, query.m_max + 1), values):
         if query.kind == "stability":
-            value = derive(params).rho
             ok = value < 1.0
             better = best is None or value < best
-        elif query.kind == "los_target":
-            value = level_of_service(params, query.t_los)
-            ok = value >= query.target
-            better = best is None or value > best
         elif query.kind == "occup_ceiling":
-            value = p_occupation(params)
             ok = value <= query.target
             better = best is None or value < best
         else:
-            value = mfpt_critical_profile(params).mean_time
             ok = value >= query.target
             better = best is None or value > best
         if better:

@@ -5,6 +5,7 @@ criterion; a failed assertion shows up as the usual pytest FAILED line.
 The Monte-Carlo criteria use pinned seeds and take a couple of minutes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -39,7 +40,7 @@ from ambuq.cli import main
 from ambuq.mfpt import SWEEP_CSV_HEADER
 from ambuq.steady_state import STATIONARY_CSV_HEADER
 
-from oracles import wait_mixture_density
+from oracles import busy_fraction_summed, saturation_times_closed_form, wait_mixture_density
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
 
@@ -85,16 +86,16 @@ def test_criterion_4_saturation_time_oracle_equivalence():
         for gamma in (0.1, 0.32, 1.0, 3.0):
             params = SystemParams(t_call=10.0, t_service=10.0 / gamma, servers=servers)
             ladder = RateLadder.for_fleet(params)
-            closed = mfpt_critical_profile(params).times
+            closed = saturation_times_closed_form(params)
             solved = mfpt_linear_solve(ladder, servers + 1)
+            production = mfpt_critical_profile(params).times
             for n in range(servers + 1):
                 general = mfpt_general(ladder, n, servers + 1)
                 scale = abs(general)
+                routes = (closed[n], general, solved[n], production[n])
                 worst = max(
                     worst,
-                    abs(closed[n] - general) / scale,
-                    abs(closed[n] - solved[n]) / scale,
-                    abs(general - solved[n]) / scale,
+                    *(abs(a - b) / scale for a, b in itertools.combinations(routes, 2)),
                 )
     assert worst <= 1e-9
 
@@ -116,7 +117,7 @@ def test_criterion_4_saturation_time_oracle_equivalence():
     assert abs(z_fleet) <= 3.0
     _pass(
         4,
-        f"closed/general/tridiagonal agree to {worst:.2e} rel over M=1..30 x 4 rate ratios; "
+        f"closed/general/tridiagonal/recurrence agree to {worst:.2e} rel over M=1..30 x 4 rate ratios; "
         f"Monte-Carlo z = {z_single:+.2f} (single server) and {z_fleet:+.2f} (fleet average), both within 3 SE",
     )
 
@@ -175,7 +176,7 @@ def test_criterion_6_exact_identities():
                 worst_little,
                 abs(mean_wait(params) - queue_stats(params).mean_len / params.arrival_rate),
             )
-            worst_busy = max(worst_busy, abs(p_server_busy(params) - d.rho))
+            worst_busy = max(worst_busy, abs(busy_fraction_summed(params) - d.rho))
             worst_flow = max(worst_flow, abs(throughput(params) - params.arrival_rate))
     assert worst_little <= 1e-12
     assert worst_busy <= 1e-12

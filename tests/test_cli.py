@@ -109,6 +109,26 @@ def test_mfpt_single_point_grid(tmp_path):
     assert lines[1].startswith("16,6,")
 
 
+def test_mfpt_overflow_is_refused(tmp_path, capsys):
+    # rho = 0.1 at M = 1000: the saturation times exceed the float range
+    code = run("mfpt", "--t-call", 1, "--t-service", 100, "--servers", 1000, "--out-dir", tmp_path)
+    assert code == 2
+    assert "floating-point range" in capsys.readouterr().err
+    assert not (tmp_path / "mfpt.json").exists()
+
+
+def test_mfpt_sweep_overflow_is_refused(tmp_path, capsys):
+    # the profile at t_call = 0.01 is finite; the sweep point t_call = 1 is not
+    code = run(
+        "mfpt", "--t-call", 0.01, "--t-service", 100, "--servers", 1000,
+        "--t-call-grid", "0.01,1", "--out-dir", tmp_path,
+    )
+    assert code == 2
+    assert "sweep mean time for servers=1000, t_call=1" in capsys.readouterr().err
+    assert not (tmp_path / "mfpt.json").exists()
+    assert not (tmp_path / "mfpt_sweep.csv").exists()
+
+
 def test_size_stability(tmp_path):
     assert run("size", *BASE, "--servers", 1, "--stability", "--out-dir", tmp_path) == 0
     sizing = json.loads((tmp_path / "sizing.json").read_text())
@@ -131,6 +151,21 @@ def test_size_horizon(tmp_path):
     )
     assert code == 0
     assert json.loads((tmp_path / "sizing.json").read_text())["m"] == 6
+
+
+def test_size_horizon_reports_the_mfpt_mean(tmp_path):
+    sized, profiled = tmp_path / "size", tmp_path / "mfpt"
+    assert run(
+        "size", "--t-call", 1.3, "--t-service", 130, "--servers", 1,
+        "--horizon", 2000, "--out-dir", sized,
+    ) == 0
+    sizing = json.loads((sized / "sizing.json").read_text())
+    assert run(
+        "mfpt", "--t-call", 1.3, "--t-service", 130, "--servers", sizing["m"],
+        "--out-dir", profiled,
+    ) == 0
+    profile = json.loads((profiled / "mfpt.json").read_text())
+    assert sizing["predicate_value"] == profile["mean_time"]
 
 
 def test_size_not_found_exit_code(tmp_path):

@@ -161,8 +161,41 @@ def test_sweep_csv_format(tmp_path):
 
 
 def test_large_fleet_stays_finite():
-    # running products keep intermediates representable well past the point
-    # where raw factorials overflow
+    # the recurrence never forms factorials or powers, so it stays finite
+    # well past the point where raw factorials overflow
     profile = mfpt_critical_profile(SystemParams(t_call=16, t_service=50, servers=170))
     assert math.isfinite(profile.times[0])
     assert profile.times[0] > 0.0
+
+
+def test_overflow_gives_inf_never_nan():
+    # rho = 0.1 at M = 1000: T(0) is far beyond the float range
+    profile = mfpt_critical_profile(SystemParams(t_call=1.0, t_service=100.0, servers=1000))
+    assert all(t == math.inf for t in profile.times)
+    assert profile.mean_time == math.inf
+
+
+def test_sweep_matches_profile_means():
+    fleets = [9, 1, 6, 2, 17, 6]
+    grid = [8.0, 13.2, 16, 40.0]
+    rows = mfpt_sweep(50.0, fleets, grid)
+    assert [(tc, m) for tc, m, _ in rows] == [(float(tc), m) for m in fleets for tc in grid]
+    for t_call, m, mean in rows:
+        profile = mfpt_critical_profile(SystemParams(t_call=t_call, t_service=50.0, servers=m))
+        assert mean == pytest.approx(profile.mean_time, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "servers_list, t_call_grid",
+    [
+        ([6, 0], [16.0]),
+        ([6, 2.5], [16.0]),
+        ([6, True], [16.0]),
+        ([6], [16.0, -1.0]),
+        ([6], [16.0, math.nan]),
+        ([6], [16.0, math.inf]),
+    ],
+)
+def test_sweep_rejects_bad_fleet_or_grid_value(servers_list, t_call_grid):
+    with pytest.raises(ParameterError):
+        mfpt_sweep(50.0, servers_list, t_call_grid)

@@ -107,3 +107,53 @@ def test_query_validation():
         SizingQuery(kind="mfpt_horizon", target=math.inf)
     with pytest.raises(ParameterError):
         SizingQuery(kind="stability", m_max=0)
+
+
+def _brute_force(t_call, t_service, query):
+    """min_fleet as a plain scan calling the public per-fleet functions."""
+    start = 1 if query.kind == "mfpt_horizon" else stability_bound(t_call, t_service)
+    best = None
+    for m in range(start, query.m_max + 1):
+        params = SystemParams(t_call=t_call, t_service=t_service, servers=m)
+        if query.kind == "stability":
+            value = derive(params).rho
+            ok, better = value < 1.0, best is None or value < best
+        elif query.kind == "occup_ceiling":
+            value = p_occupation(params)
+            ok, better = value <= query.target, best is None or value < best
+        elif query.kind == "los_target":
+            value = level_of_service(params, query.t_los)
+            ok, better = value >= query.target, best is None or value > best
+        else:
+            value = mfpt_critical_profile(params).mean_time
+            ok, better = value >= query.target, best is None or value > best
+        if better:
+            best = value
+        if ok:
+            return m, value, (start, m), True
+    return None, best, (start, query.m_max), False
+
+
+def _queries(m_max):
+    yield SizingQuery(kind="stability", m_max=m_max)
+    for target in (0.5, 0.15, 1e-3):
+        yield SizingQuery(kind="occup_ceiling", target=target, m_max=m_max)
+    for target in (0.9, 0.99):
+        for t_los in (0.0, 10.0, 30.0):
+            yield SizingQuery(kind="los_target", target=target, t_los=t_los, m_max=m_max)
+    for target in (100.0, 480.0, 5000.0):
+        yield SizingQuery(kind="mfpt_horizon", target=target, m_max=m_max)
+
+
+@pytest.mark.parametrize("t_call", [5.0, 15, 40.0])
+@pytest.mark.parametrize("t_service", [50, 90.0])
+@pytest.mark.parametrize("m_max", [8, 40])
+def test_incremental_scan_matches_brute_force(t_call, t_service, m_max):
+    for query in _queries(m_max):
+        result = min_fleet(t_call, t_service, query)
+        m, value, scanned, found = _brute_force(t_call, t_service, query)
+        assert (result.m, result.scanned, result.found) == (m, scanned, found), query
+        if query.kind == "mfpt_horizon":
+            assert result.predicate_value == pytest.approx(value, rel=1e-12)
+        else:
+            assert result.predicate_value == value, query
