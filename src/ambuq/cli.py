@@ -10,6 +10,7 @@ not met within the scan cap.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -18,18 +19,22 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import NoSteadyStateError, ParameterError
-from .mfpt import mfpt_critical_profile, mfpt_sweep, write_sweep_csv
-from .params import SystemParams, derive
+from .mfpt import mfpt_critical_profile, mfpt_sweep
+from .params import SystemParams, as_int, as_real, derive, require_steady_state
 from .service_metrics import full_report, mean_wait
 from .simulate import SimConfig, simulate_hitting_time, simulate_stationary
-from .sizing import SizingQuery, min_fleet, stability_bound
+from .sizing import SizingQuery, min_fleet
 from .steady_state import (
     p_occupation,
     queue_conditional_pmf,
     queue_stats,
+    stationary_csv_rows,
     stationary_profile,
-    write_stationary_csv,
 )
+
+# Not called here since the steady-state guard names the stable fleet;
+# perfbench/tracing.py wraps this name in this module.
+from .sizing import stability_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +44,12 @@ EXIT_NOT_FOUND = 4
 SERVICE_SUMMARY_HEADER = (
     "servers,rho,p_occup,p_busy,los,one_minus_los,mean_queue_len,std_queue_len,mean_wait_min"
 )
+SWEEP_CSV_HEADER = "t_call_min,servers,mean_time_to_critical_min"
+STATIONARY_CSV_HEADER = "n,pi_n"
 WAITS_CSV_HEADER = "call_index,wait_min"
+
+# Largest list a 'lo..hi' fleet range or 'lo..hi:step' grid may expand to.
+MAX_EXPANSION = 10_000
 
 _CONFIG_KEYS = {
     "t_call_min", "t_service_min", "servers", "t_los_min", "cost_per_attention",
@@ -64,47 +74,59 @@ class ScenarioConfig:
     start_state: int = 0
 
 
-def _as_int(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ParameterError(f"expected an integer, got {value!r}")
-    return int(value)
+def _number(text: str):
+    """Flag text as the int or float it spells; any other text is returned
+    as it is, for the validators to refuse by field name."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _require_count(count: float, field: str, text: str) -> None:
+    if not 1 <= count <= MAX_EXPANSION:
+        raise ParameterError(
+            f"{field} range {text!r} must expand to 1..{MAX_EXPANSION} entries"
+        )
 
 
 def _parse_servers(value) -> list[int]:
-    if isinstance(value, (int, float)):
-        return [_as_int(value)]
-    if isinstance(value, list):
-        return [_as_int(v) for v in value]
-    text = str(value).strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ParameterError(f"server range must ascend, got {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ParameterError(f"cannot parse servers from {text!r}") from None
+    """Fleet sizes from a number, a JSON list, or text '6', '5,7' or '4..10'."""
+    if isinstance(value, str):
+        text = value.strip()
+        if ".." in text:
+            lo, hi = (as_int(_number(part), "servers", minimum=1) for part in text.split("..", 1))
+            _require_count(hi - lo + 1, "servers", text)
+            return list(range(lo, hi + 1))
+        value = [_number(part) for part in text.split(",") if part.strip()]
+    elif not isinstance(value, list):
+        value = [value]
+    return [as_int(v, "servers", minimum=1) for v in value]
 
 
 def _parse_grid(value) -> list[float]:
-    if isinstance(value, list):
-        return [float(v) for v in value]
-    text = str(value).strip()
-    if ".." in text:
-        span, _, step_text = text.partition(":")
-        lo_text, hi_text = span.split("..", 1)
-        lo, hi = float(lo_text), float(hi_text)
-        step = float(step_text) if step_text else 1.0
-        if step <= 0 or hi < lo:
-            raise ParameterError(f"cannot parse grid from {text!r}")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return [lo + k * step for k in range(count)]
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ParameterError(f"cannot parse grid from {text!r}") from None
+    """Call spacings from a number, a JSON list, or text '10,12' or '10..40:0.2'."""
+    if isinstance(value, str):
+        text = value.strip()
+        if ".." in text:
+            span, _, step_text = text.partition(":")
+            lo, hi = (
+                as_real(_number(part), "t_call_grid", positive=True) for part in span.split("..", 1)
+            )
+            step = 1.0
+            if step_text:
+                step = as_real(_number(step_text), "t_call_grid step", positive=True)
+            steps = (hi - lo) / step + 1e-9
+            # floored only once bounded, so an overflowing count is never built
+            count = math.floor(steps) + 1 if steps < MAX_EXPANSION else math.inf
+            _require_count(count, "t_call_grid", text)
+            return [lo + k * step for k in range(count)]
+        value = [_number(part) for part in text.split(",") if part.strip()]
+    elif not isinstance(value, list):
+        value = [value]
+    return [as_real(v, "t_call_grid", positive=True) for v in value]
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -138,18 +160,20 @@ def _load_scenario(args) -> ScenarioConfig:
 
     grid = pick("t_call_grid", "t_call_grid")
     seed = pick("seed", "seed")
+    warmup = pick("warmup", "warmup_min")
+    horizon = pick("horizon_min", "horizon_min")
     scenario = ScenarioConfig(
-        t_call_min=float(t_call),
-        t_service_min=float(t_service),
+        t_call_min=as_real(t_call, "t_call", positive=True),
+        t_service_min=as_real(t_service, "t_service", positive=True),
         servers=_parse_servers(servers),
-        t_los_min=float(pick("t_los", "t_los_min", 30.0)),
-        cost_per_attention=float(pick("cost", "cost_per_attention", 0.0)),
-        t_call_grid=_parse_grid(grid) if grid is not None else None,
-        seed=int(seed) if seed is not None else None,
-        replications=int(pick("replications", "replications", 1)),
-        warmup_min=_opt_float(pick("warmup", "warmup_min")),
-        horizon_min=_opt_float(pick("horizon_min", "horizon_min")),
-        start_state=int(pick("start_state", "start_state", 0)),
+        t_los_min=as_real(pick("t_los", "t_los_min", 30.0), "t_los"),
+        cost_per_attention=as_real(pick("cost", "cost_per_attention", 0.0), "cost_per_attention"),
+        t_call_grid=None if grid is None else _parse_grid(grid),
+        seed=None if seed is None else as_int(seed, "seed"),
+        replications=as_int(pick("replications", "replications", 1), "replications", minimum=1),
+        warmup_min=None if warmup is None else as_real(warmup, "warmup"),
+        horizon_min=None if horizon is None else as_real(horizon, "horizon", positive=True),
+        start_state=as_int(pick("start_state", "start_state", 0), "start_state", minimum=0),
     )
     if not scenario.servers:
         raise ParameterError("servers list must be non-empty")
@@ -158,39 +182,51 @@ def _load_scenario(args) -> ScenarioConfig:
     return scenario
 
 
-def _opt_float(value):
-    return None if value is None else float(value)
-
-
 def _params_for(scenario: ScenarioConfig, servers: int) -> SystemParams:
     return SystemParams(
         t_call=scenario.t_call_min, t_service=scenario.t_service_min, servers=servers
     )
 
 
-def _require_stable(params: SystemParams) -> None:
-    rho = derive(params).rho
-    if rho >= 1.0:
-        raise NoSteadyStateError(
-            rho,
-            f"no steady state for servers={params.servers}: rho={rho:.6g} >= 1; "
-            f"minimum stable fleet is {stability_bound(params.t_call, params.t_service)}",
-        )
+def _write_lines(path: Path, lines) -> None:
+    """The one file writer: lines go to a sibling .tmp file that is then
+    renamed over ``path``, so a reader never sees a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    os.replace(tmp, path)
 
 
 def _write_json(path: Path, obj) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ParameterError(
+            f"{path.name} would hold a value that exceeds the floating-point range"
+        ) from None
+    _write_lines(path, (text, "\n"))
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-    os.replace(tmp, path)
+def _write_csv(path: Path, header: str, lines) -> None:
+    """``lines`` are the formatted rows, each ending in a newline."""
+    _write_lines(path, itertools.chain((header + "\n",), lines))
+
+
+def write_sweep_csv(rows, path) -> None:
+    """Write mfpt_sweep rows to CSV with 6 significant digits per value."""
+    _write_csv(
+        Path(path), SWEEP_CSV_HEADER,
+        (f"{t_call:.6g},{m},{mean_time:.6g}\n" for t_call, m, mean_time in rows),
+    )
+
+
+def write_stationary_csv(params: SystemParams, path) -> None:
+    """Write the (n, pi_n) rows of ``stationary_csv_rows`` at full precision."""
+    _write_csv(
+        Path(path), STATIONARY_CSV_HEADER,
+        (f"{n},{pi_n!r}\n" for n, pi_n in stationary_csv_rows(params)),
+    )
 
 
 def _fmt_minutes(minutes: float, hours: bool) -> str:
@@ -202,34 +238,36 @@ def _fmt_minutes(minutes: float, hours: bool) -> str:
 def _cmd_analyze(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Every fleet is checked before any file is written, so a refusal
+    # leaves no partial output behind.
+    checked = []
     reports = []
-    summary_rows = []
+    summary_lines = []
     for m in scenario.servers:
         params = _params_for(scenario, m)
-        _require_stable(params)
+        rho = require_steady_state(params).rho
         report = full_report(params, scenario.t_los_min, scenario.cost_per_attention)
+        checked.append(params)
         reports.append(report.to_dict())
         stats = queue_stats(params)
-        rho = derive(params).rho
-        summary_rows.append((
-            m, f"{rho!r}", f"{report.p_occup!r}", f"{report.p_busy!r}", f"{report.los!r}",
-            f"{1.0 - report.los!r}", f"{stats.mean_len!r}", f"{stats.std_len!r}",
-            f"{report.mean_wait!r}",
-        ))
+        summary_lines.append(
+            f"{m},{rho!r},{report.p_occup!r},{report.p_busy!r},{report.los!r},"
+            f"{1.0 - report.los!r},{stats.mean_len!r},{stats.std_len!r},{report.mean_wait!r}\n"
+        )
         print(
             f"M={m}: rho={rho:.6g} p_occup={report.p_occup:.6g} p_busy={report.p_busy:.6g} "
             f"LOS({scenario.t_los_min:g} min)={report.los:.6g} "
             f"mean_wait={_fmt_minutes(report.mean_wait, args.hours)} "
             f"throughput={report.throughput:.6g}/min"
         )
-        if args.stationary_csv:
-            write_stationary_csv(params, out_dir / f"stationary_M{m}.csv")
 
     _write_json(out_dir / "report.json", reports[0] if len(reports) == 1 else reports)
     if len(reports) > 1:
-        _write_csv(out_dir / "service_summary.csv", SERVICE_SUMMARY_HEADER, summary_rows)
+        _write_csv(out_dir / "service_summary.csv", SERVICE_SUMMARY_HEADER, summary_lines)
+    if args.stationary_csv:
+        for params in checked:
+            write_stationary_csv(params, out_dir / f"stationary_M{params.servers}.csv")
     print(f"wrote {out_dir / 'report.json'}")
     return EXIT_OK
 
@@ -242,7 +280,6 @@ def _require_finite(value: float, what: str) -> None:
 def _cmd_mfpt(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # Everything is computed and checked before any file is written, so an
     # overflow leaves no partial output behind.
@@ -279,7 +316,6 @@ def _cmd_mfpt(args) -> int:
 def _cmd_size(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     chosen = [
         name for name, val in (
@@ -355,7 +391,6 @@ def _analytic_counterparts(params: SystemParams, t_los: float) -> dict[str, floa
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if len(scenario.servers) != 1:
         raise ParameterError("simulate needs a single fleet size")
@@ -376,14 +411,9 @@ def _cmd_simulate(args) -> int:
         start_state=scenario.start_state,
     )
 
+    if args.mode == "stationary" and not args.allow_unstable:
+        require_steady_state(params)
     rho = derive(params).rho
-    if args.mode == "stationary" and rho >= 1.0 and not args.allow_unstable:
-        raise NoSteadyStateError(
-            rho,
-            f"no steady state for servers={params.servers}: rho={rho:.6g} >= 1; "
-            f"minimum stable fleet is {stability_bound(params.t_call, params.t_service)} "
-            "(use --allow-unstable to simulate the transient anyway)",
-        )
 
     payload: dict = {"mode": args.mode}
     if args.mode == "hitting":
@@ -427,7 +457,7 @@ def _cmd_simulate(args) -> int:
             _write_csv(
                 out_dir / "sim_waits.csv",
                 WAITS_CSV_HEADER,
-                ((idx, repr(w)) for idx, w in (result.waits or ())),
+                (f"{idx},{w!r}\n" for idx, w in (result.waits or ())),
             )
             print(f"wrote {out_dir / 'sim_waits.csv'}")
 
@@ -474,12 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat JSON scenario file (flags override it)")
-        p.add_argument("--t-call", type=float, help="mean minutes between calls")
-        p.add_argument("--t-service", type=float, help="mean service minutes")
+        p.add_argument("--t-call", type=_number, help="mean minutes between calls")
+        p.add_argument("--t-service", type=_number, help="mean service minutes")
         p.add_argument("--servers", help="fleet size: '6', '5,7', or '4..10'")
-        p.add_argument("--t-los", type=float, help="level-of-service threshold, minutes (default 30)")
-        p.add_argument("--cost", type=float, help="cost per attention (default 0)")
-        p.add_argument("--seed", type=int, help="simulation seed")
+        p.add_argument("--t-los", type=_number, help="level-of-service threshold, minutes (default 30)")
+        p.add_argument("--cost", type=_number, help="cost per attention (default 0)")
+        p.add_argument("--seed", type=_number, help="simulation seed")
         p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument("--hours", action="store_true", help="display times in hours (files stay in minutes)")
 
@@ -502,20 +532,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_size = sub.add_parser("size", help="smallest fleet meeting a target")
     add_common(p_size)
     p_size.add_argument("--stability", action="store_true", help="smallest stable fleet")
-    p_size.add_argument("--los-target", type=float, help="minimum level of service in (0,1]")
-    p_size.add_argument("--occup-max", type=float, help="maximum occupation probability in (0,1]")
-    p_size.add_argument("--horizon", type=float, help="minimum mean time to saturation, minutes")
-    p_size.add_argument("--m-max", type=int, default=1000, help="scan cap (default 1000)")
+    p_size.add_argument("--los-target", type=_number, help="minimum level of service in (0,1]")
+    p_size.add_argument("--occup-max", type=_number, help="maximum occupation probability in (0,1]")
+    p_size.add_argument("--horizon", type=_number, help="minimum mean time to saturation, minutes")
+    p_size.add_argument("--m-max", type=_number, default=1000, help="scan cap (default 1000)")
     p_size.set_defaults(func=_cmd_size)
 
     p_sim = sub.add_parser("simulate", help="stochastic oracle run")
     add_common(p_sim)
     p_sim.add_argument("--mode", choices=("stationary", "hitting"), default="stationary")
-    p_sim.add_argument("--replications", type=int, help="independent replications")
-    p_sim.add_argument("--warmup", type=float, help="warmup minutes before measurement")
-    p_sim.add_argument("--horizon-min", dest="horizon_min", type=float, help="total simulated minutes")
-    p_sim.add_argument("--start-state", dest="start_state", type=int, help="initial calls in system")
-    p_sim.add_argument("--workers", type=int, default=1, help="parallel replication workers")
+    p_sim.add_argument("--replications", type=_number, help="independent replications")
+    p_sim.add_argument("--warmup", type=_number, help="warmup minutes before measurement")
+    p_sim.add_argument("--horizon-min", dest="horizon_min", type=_number, help="total simulated minutes")
+    p_sim.add_argument("--start-state", dest="start_state", type=_number, help="initial calls in system")
+    p_sim.add_argument("--workers", type=_number, default=1, help="parallel replication workers")
     p_sim.add_argument("--assignment", choices=("random", "least_index"), default="random")
     p_sim.add_argument("--strict", action="store_true", help="fail unless a seed is given")
     p_sim.add_argument("--allow-unstable", action="store_true", help="simulate even when rho >= 1")

@@ -14,15 +14,12 @@ representable whenever the result itself is.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ParameterError, UnreachableTargetError
-from .params import RateLadder, SystemParams
-
-SWEEP_CSV_HEADER = "t_call_min,servers,mean_time_to_critical_min"
+from .params import RateLadder, SystemParams, as_int
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,9 @@ def mfpt_general(ladder: RateLadder, start: int, target: int) -> float:
     upward rate below the target vanishes (the reflecting walk revisits
     low states, so those rates all matter).
     """
-    for name, value in (("start", start), ("target", target)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if start < 0 or target <= start:
+    start = as_int(start, "start", minimum=0)
+    target = as_int(target, "target")
+    if target <= start:
         raise ParameterError(f"need 0 <= start < target, got start={start}, target={target}")
     # Hitting times on a line are additive: time(start -> target) equals
     # time(0 -> target) minus time(0 -> start).
@@ -133,8 +129,7 @@ def mfpt_linear_solve(ladder: RateLadder, target: int) -> list[float]:
     magnitude (a generic pivoted solver loses everything there, since the
     matrix condition number is of the order of the solution itself).
     """
-    if not isinstance(target, int) or isinstance(target, bool) or target < 1:
-        raise ParameterError(f"target must be an integer >= 1, got {target!r}")
+    target = as_int(target, "target", minimum=1)
     offsets = [0.0] * target
     for n in range(target):
         up = ladder.up(n)
@@ -184,12 +179,3 @@ def mfpt_sweep(
         by_t_call.append((params.t_call, means))
     return [(t_call, m, means[m]) for m in fleets for t_call, means in by_t_call]
 
-
-def write_sweep_csv(rows: Iterable[tuple[float, int, float]], path) -> None:
-    """Write sweep rows to CSV with 6 significant digits per value."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for t_call, m, mean_time in rows:
-            fh.write(f"{t_call:.6g},{m},{mean_time:.6g}\n")
-    os.replace(tmp, path)

@@ -10,30 +10,38 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ParameterError
+from .errors import NoSteadyStateError, ParameterError
 
 
-def _positive_real(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{field} must be a positive real, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{field} must be positive and finite, got {value!r}")
-    return value
-
-
-def _positive_int(value, field: str) -> int:
-    if isinstance(value, bool):
-        raise ParameterError(f"{field} must be an integer, got {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ParameterError(f"{field} must be an integer, got {value!r}")
+def as_int(value, field: str, minimum: int | None = None) -> int:
+    """The package's one integer rule: an int, or a float with an integral
+    value (returned as int). Bools, other floats, strings and every other
+    type are refused, and so is a value below ``minimum`` when one is given.
+    """
+    if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{field} must be an integer, got {value!r}")
-    if value < 1:
-        raise ParameterError(f"{field} must be >= 1, got {value}")
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{field} must be an integer >= {minimum}, got {value}")
     return value
+
+
+def as_real(value, field: str, positive: bool = False) -> float:
+    """The package's one real-number rule: an int or float that is finite and
+    >= 0 (> 0 when ``positive``), returned as float. Bools, strings and every
+    other type are refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{field} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not (number > 0.0 if positive else number >= 0.0) or number == math.inf:
+        bound = "> 0" if positive else ">= 0"
+        raise ParameterError(f"{field} must be finite and {bound}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -49,9 +57,17 @@ class SystemParams:
     servers: int
 
     def __post_init__(self):
-        object.__setattr__(self, "t_call", _positive_real(self.t_call, "t_call"))
-        object.__setattr__(self, "t_service", _positive_real(self.t_service, "t_service"))
-        object.__setattr__(self, "servers", _positive_int(self.servers, "servers"))
+        object.__setattr__(self, "t_call", as_real(self.t_call, "t_call", positive=True))
+        object.__setattr__(self, "t_service", as_real(self.t_service, "t_service", positive=True))
+        object.__setattr__(self, "servers", as_int(self.servers, "servers", minimum=1))
+        # Every layer divides by the rates and their ratios (see derive); refuse
+        # them once here when they overflow or underflow to inf, 0 or nan.
+        lam, mu = self.arrival_rate, self.service_rate
+        if not (0.0 < lam / mu < math.inf and 0.0 < mu / lam < math.inf):
+            raise ParameterError(
+                f"offered load t_service / t_call = {self.t_service!r} / {self.t_call!r} "
+                "is outside the floating-point range"
+            )
 
     @property
     def arrival_rate(self) -> float:
@@ -85,6 +101,28 @@ def derive(params: SystemParams) -> DerivedParams:
     return DerivedParams(gamma=mu / lam, rho=offered / params.servers, offered_load=offered)
 
 
+def stability_bound(t_call: float, t_service: float) -> int:
+    """Smallest fleet with traffic intensity below 1: floor(offered load) + 1."""
+    d = derive(SystemParams(t_call=t_call, t_service=t_service, servers=1))
+    return math.floor(d.offered_load) + 1
+
+
+def require_steady_state(params: SystemParams) -> DerivedParams:
+    """``derive(params)`` for an operation that needs a steady state.
+
+    Raises NoSteadyStateError, naming the smallest stable fleet, unless the
+    traffic intensity is below 1.
+    """
+    d = derive(params)
+    if not d.rho < 1.0:
+        raise NoSteadyStateError(
+            d.rho,
+            f"no steady state for servers={params.servers}: rho={d.rho:.6g} >= 1; "
+            f"minimum stable fleet is {stability_bound(params.t_call, params.t_service)}",
+        )
+    return d
+
+
 def build_params(t_call, t_service, servers) -> tuple[SystemParams, DerivedParams]:
     """Validate raw inputs and return them with the derived quantities."""
     params = SystemParams(t_call=t_call, t_service=t_service, servers=servers)
@@ -115,8 +153,7 @@ class RateLadder:
 
 def rate_at(ladder: RateLadder, state: int, direction: str) -> float:
     """Evaluate one transition rate, guarding the reflecting boundary."""
-    if not isinstance(state, int) or isinstance(state, bool) or state < 0:
-        raise ParameterError(f"state must be a non-negative integer, got {state!r}")
+    state = as_int(state, "state", minimum=0)
     if direction == "up":
         return ladder.up(state)
     if direction == "down":

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import NoSteadyStateError, ParameterError
-from .params import SystemParams, derive
+from .params import SystemParams, as_int, as_real, require_steady_state
 from .steady_state import p_occupation
 
 # Not called here; perfbench/tracing.py wraps this name in this module.
@@ -44,9 +43,7 @@ class ServiceReport:
 
 
 def _wait_rate(params: SystemParams) -> float:
-    d = derive(params)
-    if not d.rho < 1.0:
-        raise NoSteadyStateError(d.rho)
+    d = require_steady_state(params)
     return (1.0 - d.rho) * params.servers * params.service_rate
 
 
@@ -57,10 +54,8 @@ def gamma_wait_density(t: float, k_ahead: int, params: SystemParams) -> float:
     full-fleet rate M * mu, i.e. a Gamma density with integer shape. Uses a
     log-space evaluation so large shapes stay finite.
     """
-    if not isinstance(k_ahead, int) or isinstance(k_ahead, bool) or k_ahead < 0:
-        raise ParameterError(f"k_ahead must be a non-negative integer, got {k_ahead!r}")
-    if not math.isfinite(t) or t < 0.0:
-        raise ParameterError(f"waiting time must be finite and >= 0, got {t!r}")
+    k_ahead = as_int(k_ahead, "k_ahead", minimum=0)
+    t = as_real(t, "t")
     alpha = params.servers * params.service_rate
     if t == 0.0:
         return alpha if k_ahead == 0 else 0.0
@@ -72,8 +67,7 @@ def wait_density(t: float, params: SystemParams) -> float:
     """Density of the conditional waiting time: exponential with rate
     (1 - rho) * M * mu (the geometric queue mixture of Gamma waits collapses
     to this single exponential)."""
-    if not math.isfinite(t) or t < 0.0:
-        raise ParameterError(f"waiting time must be finite and >= 0, got {t!r}")
+    t = as_real(t, "t")
     rate = _wait_rate(params)
     return rate * math.exp(-rate * t)
 
@@ -89,8 +83,7 @@ def level_of_service(params: SystemParams, t_los: float) -> float:
     Calls arriving with an idle server wait zero; the rest clear the
     threshold with the exponential tail above.
     """
-    if not math.isfinite(t_los) or t_los < 0.0:
-        raise ParameterError(f"t_los must be finite and >= 0, got {t_los!r}")
+    t_los = as_real(t_los, "t_los")
     rate = _wait_rate(params)
     return 1.0 - p_occupation(params) * math.exp(-rate * t_los)
 
@@ -104,10 +97,7 @@ def p_server_busy(params: SystemParams) -> float:
     which collapses to rho. This returns the identity; the summed form is
     kept in the tests as its check.
     """
-    d = derive(params)
-    if not d.rho < 1.0:
-        raise NoSteadyStateError(d.rho)
-    return d.rho
+    return require_steady_state(params).rho
 
 
 def throughput(params: SystemParams) -> float:
@@ -120,10 +110,7 @@ def throughput(params: SystemParams) -> float:
 
 def cost_rate(params: SystemParams, cost_per_attention: float) -> float:
     """Operating cost per minute per ambulance: C * mu * P(busy)."""
-    if not math.isfinite(cost_per_attention) or cost_per_attention < 0.0:
-        raise ParameterError(
-            f"cost_per_attention must be finite and >= 0, got {cost_per_attention!r}"
-        )
+    cost_per_attention = as_real(cost_per_attention, "cost_per_attention")
     return cost_per_attention * params.service_rate * p_server_busy(params)
 
 
@@ -137,12 +124,8 @@ def full_report(
     Each quantity is computed once and reused so the cross-field identities
     (mean_wait * wait_rate = 1, throughput = mu * M * p_busy) hold exactly.
     """
-    if not math.isfinite(t_los) or t_los < 0.0:
-        raise ParameterError(f"t_los must be finite and >= 0, got {t_los!r}")
-    if not math.isfinite(cost_per_attention) or cost_per_attention < 0.0:
-        raise ParameterError(
-            f"cost_per_attention must be finite and >= 0, got {cost_per_attention!r}"
-        )
+    t_los = as_real(t_los, "t_los")
+    cost_per_attention = as_real(cost_per_attention, "cost_per_attention")
     rate = _wait_rate(params)
     occup = p_occupation(params)
     busy = p_server_busy(params)

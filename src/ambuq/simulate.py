@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .params import SystemParams, derive
+from .params import SystemParams, as_int, as_real, derive
 
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1024
@@ -84,25 +84,15 @@ class SimConfig:
     start_state: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
-        if (
-            not isinstance(self.replications, int)
-            or isinstance(self.replications, bool)
-            or self.replications < 1
-        ):
-            raise ParameterError(f"replications must be an integer >= 1, got {self.replications!r}")
-        if (
-            not isinstance(self.start_state, int)
-            or isinstance(self.start_state, bool)
-            or self.start_state < 0
-        ):
-            raise ParameterError(f"start_state must be a non-negative integer, got {self.start_state!r}")
-        if self.warmup is not None and (not math.isfinite(self.warmup) or self.warmup < 0.0):
-            raise ParameterError(f"warmup must be finite and >= 0, got {self.warmup!r}")
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(
+            self, "replications", as_int(self.replications, "replications", minimum=1)
+        )
+        object.__setattr__(self, "start_state", as_int(self.start_state, "start_state", minimum=0))
+        if self.warmup is not None:
+            object.__setattr__(self, "warmup", as_real(self.warmup, "warmup"))
         if self.horizon is not None:
-            if not math.isfinite(self.horizon) or self.horizon <= 0.0:
-                raise ParameterError(f"horizon must be finite and > 0, got {self.horizon!r}")
+            object.__setattr__(self, "horizon", as_real(self.horizon, "horizon", positive=True))
             if self.warmup is not None and self.horizon <= self.warmup:
                 raise ParameterError(
                     f"horizon must exceed warmup, got horizon={self.horizon!r} warmup={self.warmup!r}"
@@ -137,8 +127,9 @@ class SimEstimate:
 
 
 def _run_many(fn: Callable[[int], object], replications: int, workers: int) -> list:
+    workers = as_int(workers, "workers", minimum=1)
     out = [None] * replications
-    if workers <= 1:
+    if workers == 1:
         for r in range(replications):
             out[r] = fn(r)
         return out
@@ -162,11 +153,8 @@ def simulate_hitting_time(
     is the plain replication-variance estimate.
     """
     m = params.servers
-    if (
-        not isinstance(start_state, int)
-        or isinstance(start_state, bool)
-        or not 0 <= start_state <= m
-    ):
+    start_state = as_int(start_state, "start_state", minimum=0)
+    if start_state > m:
         raise ParameterError(
             f"start_state must be an integer in [0, {m}] (below the saturation target), "
             f"got {start_state!r}"
@@ -452,8 +440,7 @@ def simulate_stationary(
     """
     if assignment not in ("random", "least_index"):
         raise ParameterError(f"assignment must be 'random' or 'least_index', got {assignment!r}")
-    if not math.isfinite(t_los) or t_los < 0.0:
-        raise ParameterError(f"t_los must be finite and >= 0, got {t_los!r}")
+    t_los = as_real(t_los, "t_los")
     cfg = config.resolved(params)
     rho = derive(params).rho
     if rho >= 1.0:

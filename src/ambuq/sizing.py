@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .errors import NoSteadyStateError, ParameterError
 from .mfpt import _offsets
-from .params import SystemParams, derive
+from .params import SystemParams, as_int, as_real, derive, stability_bound
 
 # The scan calls none of these; perfbench/tracing.py wraps them by name here.
 from .mfpt import mfpt_critical_profile
@@ -47,25 +47,15 @@ class SizingQuery:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not isinstance(self.m_max, int) or isinstance(self.m_max, bool) or self.m_max < 1:
-            raise ParameterError(f"m_max must be an integer >= 1, got {self.m_max!r}")
-        if self.kind in ("los_target", "occup_ceiling"):
-            if self.target is None or not 0.0 < self.target <= 1.0:
-                raise ParameterError(
-                    f"target must be a probability in (0, 1] for {self.kind}, got {self.target!r}"
-                )
-        elif self.kind == "mfpt_horizon":
-            if (
-                self.target is None
-                or not math.isfinite(self.target)
-                or self.target <= 0.0
-            ):
-                raise ParameterError(
-                    f"target must be a positive horizon in minutes, got {self.target!r}"
-                )
+        object.__setattr__(self, "m_max", as_int(self.m_max, "m_max", minimum=1))
+        if self.kind != "stability":
+            object.__setattr__(self, "target", as_real(self.target, "target", positive=True))
+        if self.kind in ("los_target", "occup_ceiling") and self.target > 1.0:
+            raise ParameterError(
+                f"target must be a probability in (0, 1] for {self.kind}, got {self.target!r}"
+            )
         if self.kind == "los_target":
-            if self.t_los is None or not math.isfinite(self.t_los) or self.t_los < 0.0:
-                raise ParameterError(f"los_target requires t_los >= 0, got {self.t_los!r}")
+            object.__setattr__(self, "t_los", as_real(self.t_los, "t_los"))
 
 
 @dataclass(frozen=True)
@@ -81,12 +71,6 @@ class SizingResult:
     predicate_value: float | None
     scanned: tuple[int, int]
     found: bool
-
-
-def stability_bound(t_call: float, t_service: float) -> int:
-    """Smallest fleet with traffic intensity below 1: floor(offered load) + 1."""
-    d = derive(SystemParams(t_call=t_call, t_service=t_service, servers=1))
-    return math.floor(d.offered_load) + 1
 
 
 def _metric_by_fleet(kind: str, params: SystemParams, t_los: float | None) -> Iterator[float]:

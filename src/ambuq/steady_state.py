@@ -8,13 +8,10 @@ so the tail is kept symbolic as (pi_M, rho) rather than materialized.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import NoSteadyStateError, ParameterError
-from .params import RateLadder, SystemParams, derive
-
-STATIONARY_CSV_HEADER = "n,pi_n"
+from .params import RateLadder, SystemParams, as_int, require_steady_state
 
 # rho this close to 1 still has a steady state, but queue moments blow up
 # like 1/(1-rho); the profile carries a conditioning flag instead of failing.
@@ -27,9 +24,7 @@ def _occupancy_weights(params: SystemParams) -> tuple[list[float], float, float]
     The normalization folds the whole geometric tail into the last term.
     Raises NoSteadyStateError when rho >= 1 (the tail mass diverges).
     """
-    d = derive(params)
-    if not d.rho < 1.0:
-        raise NoSteadyStateError(d.rho)
+    d = require_steady_state(params)
     m = params.servers
     a = d.offered_load
     weights = [1.0]
@@ -61,8 +56,7 @@ class StationaryProfile:
         return len(self.head) - 1
 
     def pi(self, n: int) -> float:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ParameterError(f"state must be a non-negative integer, got {n!r}")
+        n = as_int(n, "state", minimum=0)
         if n <= self.servers:
             return self.head[n]
         return self.head[self.servers] * self.tail_ratio ** (n - self.servers)
@@ -90,8 +84,7 @@ def stationary_general(ladder: RateLadder, truncation: int) -> list[float]:
     truncation point and is feasible only for ladders whose tail weight
     ratio stays below 1.
     """
-    if not isinstance(truncation, int) or isinstance(truncation, bool) or truncation < 0:
-        raise ParameterError(f"truncation must be a non-negative integer, got {truncation!r}")
+    truncation = as_int(truncation, "truncation", minimum=0)
     weights = [1.0]
     for n in range(1, truncation + 1):
         down = ladder.down(n)
@@ -124,9 +117,7 @@ def stationary_general(ladder: RateLadder, truncation: int) -> list[float]:
 
 def suggested_truncation(params: SystemParams, tail_mass: float = 1e-12) -> int:
     """Truncation for stationary_general leaving under ``tail_mass`` behind."""
-    d = derive(params)
-    if not d.rho < 1.0:
-        raise NoSteadyStateError(d.rho)
+    d = require_steady_state(params)
     if not 0.0 < tail_mass < 1.0:
         raise ParameterError(f"tail_mass must be in (0, 1), got {tail_mass!r}")
     # Mass above N is at most rho**(N - M) relative to the head, so walk the
@@ -142,9 +133,7 @@ def p_occupation(params: SystemParams) -> float:
     B(n) = a B(n-1) / (n + a B(n-1)), then converted to the queueing form
     B(M) / (1 - rho (1 - B(M))). Numerically stable for any fleet size.
     """
-    d = derive(params)
-    if not d.rho < 1.0:
-        raise NoSteadyStateError(d.rho)
+    d = require_steady_state(params)
     a = d.offered_load
     blocking = 1.0
     for n in range(1, params.servers + 1):
@@ -157,11 +146,8 @@ def queue_conditional_pmf(params: SystemParams, k: int) -> float:
 
     Geometric with parameter 1 - rho.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ParameterError(f"k must be a non-negative integer, got {k!r}")
-    d = derive(params)
-    if not d.rho < 1.0:
-        raise NoSteadyStateError(d.rho)
+    k = as_int(k, "k", minimum=0)
+    d = require_steady_state(params)
     return d.rho**k * (1.0 - d.rho)
 
 
@@ -174,9 +160,7 @@ class QueueStats:
 
 
 def queue_stats(params: SystemParams) -> QueueStats:
-    d = derive(params)
-    if not d.rho < 1.0:
-        raise NoSteadyStateError(d.rho)
+    d = require_steady_state(params)
     return QueueStats(
         mean_len=d.rho / (1.0 - d.rho),
         std_len=math.sqrt(d.rho) / (1.0 - d.rho),
@@ -190,12 +174,3 @@ def stationary_csv_rows(params: SystemParams) -> list[tuple[int, float]]:
     top = params.servers + math.ceil(math.log(1e-9) / math.log(rho))
     return [(n, profile.pi(n)) for n in range(top + 1)]
 
-
-def write_stationary_csv(params: SystemParams, path) -> None:
-    rows = stationary_csv_rows(params)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(STATIONARY_CSV_HEADER + "\n")
-        for n, pi_n in rows:
-            fh.write(f"{n},{pi_n!r}\n")
-    os.replace(tmp, path)

@@ -36,9 +36,7 @@ from ambuq import (
     suggested_truncation,
     throughput,
 )
-from ambuq.cli import main
-from ambuq.mfpt import SWEEP_CSV_HEADER
-from ambuq.steady_state import STATIONARY_CSV_HEADER
+from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, main
 
 from oracles import busy_fraction_summed, saturation_times_closed_form, wait_mixture_density
 

@@ -3,9 +3,7 @@ import json
 import pytest
 
 from ambuq import SystemParams, mfpt_critical_profile, stationary_profile
-from ambuq.cli import main
-from ambuq.mfpt import SWEEP_CSV_HEADER
-from ambuq.steady_state import STATIONARY_CSV_HEADER
+from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, main
 
 
 def run(*argv):
@@ -275,3 +273,71 @@ def test_hours_display_flag(tmp_path, capsys):
     assert "0.3125 h" in out  # 18.75 minutes
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["mean_wait"] == pytest.approx(18.75)  # files stay in minutes
+
+
+def written(out_dir):
+    return sorted(p.name for p in out_dir.rglob("*")) if out_dir.exists() else []
+
+
+def config_file(tmp_path, **values):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"t_call_min": 15, "t_service_min": 50, "servers": 6, **values}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("analyze", *BASE, "--servers", "x..9"), None),
+        (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "abc..4"), None),
+        (("analyze",), {"t_call_min": "abc"}),
+        (("analyze",), {"servers": ["a"]}),
+        (("analyze", "--t-call", "abc", "--t-service", 50, "--servers", 6), None),
+        (("analyze", *BASE, "--servers", 6, "--seed", 2.5), None),
+        # offered loads past the float range
+        (("analyze", "--t-call", 1e-300, "--t-service", 1e300, "--servers", 5), None),
+        (("size", "--t-call", 1e-300, "--t-service", 1e300, "--servers", 1, "--stability"), None),
+        # the one integer policy: non-integral floats are refused, never truncated
+        (("simulate",), {"seed": 1.7}),
+        (("simulate", "--seed", 1), {"replications": 2.9}),
+        (("simulate", "--seed", 1, "--mode", "hitting"), {"start_state": 1.5}),
+        (("simulate", *BASE, "--servers", 6, "--seed", 1, "--workers", 0), None),
+        # expansions past 10^4 entries, refused before the list is built
+        (("analyze", *BASE, "--servers", "1..10001"), None),
+        (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1..10001:1"), None),
+        (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1..1e9:1e-9"), None),
+        (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1..1e308:1e-300"), None),
+    ],
+)
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, config):
+    out_dir = tmp_path / "out"
+    if config is not None:
+        argv = (*argv, "--config", config_file(tmp_path, **config))
+    assert run(*argv, "--out-dir", out_dir) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert written(out_dir) == []
+
+
+def test_expansion_cap_admits_ten_thousand_entries(tmp_path):
+    # exit 3 at the first fleet shows that the 10^4-fleet range was accepted
+    assert run("analyze", *BASE, "--servers", "1..10000", "--out-dir", tmp_path) == 3
+    assert run(
+        "mfpt", *BASE, "--servers", 1, "--t-call-grid", "1..10000:1", "--out-dir", tmp_path
+    ) == 0
+    assert len((tmp_path / "mfpt_sweep.csv").read_text().splitlines()) == 1 + 10_000
+
+
+def test_integral_float_seed_is_normalised(tmp_path):
+    config = config_file(tmp_path, seed=3.0, warmup_min=100.0, horizon_min=2100.0)
+    assert run("simulate", "--config", config, "--out-dir", tmp_path) == 0
+    assert '"seed": 3,' in (tmp_path / "sim.json").read_text()
+
+
+def test_size_horizon_overflow_is_refused(tmp_path, capsys):
+    code = run(
+        "size", "--t-call", 1, "--t-service", 1, "--servers", 1, "--horizon", 1e308,
+        "--out-dir", tmp_path,
+    )
+    assert code == 2
+    assert "floating-point range" in capsys.readouterr().err
+    assert written(tmp_path) == []

@@ -12,7 +12,7 @@ from ambuq import (
     mfpt_linear_solve,
     mfpt_sweep,
 )
-from ambuq.mfpt import SWEEP_CSV_HEADER, write_sweep_csv
+from ambuq.cli import SWEEP_CSV_HEADER, write_sweep_csv
 
 from oracles import hitting_times_dense
 

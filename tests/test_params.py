@@ -10,6 +10,7 @@ from ambuq import (
     derive,
     rate_at,
 )
+from ambuq.params import as_int, as_real
 
 
 def test_reference_scenario_ratios():
@@ -101,6 +102,9 @@ def test_bad_direction_rejected():
         (dict(t_call=15, t_service=50, servers=-2), "servers"),
         (dict(t_call=15, t_service=50, servers=2.5), "servers"),
         (dict(t_call="soon", t_service=50, servers=6), "t_call"),
+        (dict(t_call=1e-300, t_service=1e300, servers=5), "t_service / t_call"),
+        (dict(t_call=1e300, t_service=1e-300, servers=5), "t_service / t_call"),
+        (dict(t_call=1, t_service=1e-320, servers=5), "t_service / t_call"),
     ],
 )
 def test_validation_names_offending_field(kwargs, field):
@@ -118,3 +122,41 @@ def test_derived_rates_positive_and_finite():
     assert 0 < params.arrival_rate < math.inf
     assert 0 < params.service_rate < math.inf
     assert derive(params).rho == pytest.approx(params.arrival_rate / (6 * params.service_rate))
+
+
+@pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (0, 0), (-2.0, -2)])
+def test_integer_rule_accepts_integral_values(value, expected):
+    result = as_int(value, "count")
+    assert result == expected and type(result) is int
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", None, math.nan, math.inf, [3]])
+def test_integer_rule_refuses_everything_else(value):
+    with pytest.raises(ParameterError, match="count"):
+        as_int(value, "count")
+
+
+def test_integer_rule_lower_bound():
+    assert as_int(1, "count", 1) == 1
+    with pytest.raises(ParameterError, match="count"):
+        as_int(0, "count", 1)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 2, 1e308, 5e-324])
+def test_real_rule_accepts_finite_non_negative(value):
+    result = as_real(value, "x")
+    assert result == value and type(result) is float
+
+
+def test_real_rule_positive_bound():
+    assert as_real(5e-324, "x", positive=True) == 5e-324
+    with pytest.raises(ParameterError, match="x"):
+        as_real(0.0, "x", positive=True)
+
+
+@pytest.mark.parametrize(
+    "value", [True, "1.5", None, -1e-300, math.nan, math.inf, -math.inf, 10**400]
+)
+def test_real_rule_refuses_everything_else(value):
+    with pytest.raises(ParameterError, match="x"):
+        as_real(value, "x")

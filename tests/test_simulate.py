@@ -37,6 +37,26 @@ def test_config_validation():
         SimConfig(seed=1, start_state=-1)
     with pytest.raises(ParameterError):
         SimConfig(seed=1.5)
+    with pytest.raises(ParameterError):
+        SimConfig(seed=True)
+
+
+def test_config_normalises_integral_floats():
+    config = SimConfig(seed=3.0, replications=2.0, start_state=1.0, warmup=10, horizon=20)
+    assert (config.seed, config.replications, config.start_state) == (3, 2, 1)
+    assert all(type(v) is int for v in (config.seed, config.replications, config.start_state))
+    assert (config.warmup, config.horizon) == (10.0, 20.0)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+def test_worker_count_below_one_is_refused(workers):
+    config = SimConfig(seed=1, replications=2, warmup=10.0, horizon=20.0)
+    with pytest.raises(ParameterError, match="workers"):
+        simulate_hitting_time(REFERENCE, 0, config, workers=workers)
+    with pytest.raises(ParameterError, match="workers"):
+        simulate_stationary(REFERENCE, config, workers=workers)
+    with pytest.raises(ParameterError, match="workers"):
+        simulate_jump_occupancy(REFERENCE, config, workers=workers)
 
 
 def test_config_default_resolution():

@@ -14,7 +14,8 @@ from ambuq import (
     stationary_profile,
     suggested_truncation,
 )
-from ambuq.steady_state import STATIONARY_CSV_HEADER, stationary_csv_rows, write_stationary_csv
+from ambuq.cli import STATIONARY_CSV_HEADER, write_stationary_csv
+from ambuq.steady_state import stationary_csv_rows
 
 from oracles import geometric_moments_truncated, occupation_probability_exact
 
