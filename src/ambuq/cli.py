@@ -190,12 +190,17 @@ def _params_for(scenario: ScenarioConfig, servers: int) -> SystemParams:
 
 def _write_lines(path: Path, lines) -> None:
     """The one file writer: lines go to a sibling .tmp file that is then
-    renamed over ``path``, so a reader never sees a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    renamed over ``path``, so a reader never sees a partial file. A path
+    that cannot be written, such as an --out-dir naming a regular file, is
+    a ParameterError."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -411,7 +416,9 @@ def _cmd_simulate(args) -> int:
         start_state=scenario.start_state,
     )
 
-    if args.mode == "stationary" and not args.allow_unstable:
+    # The --compare counterparts need a steady state, so an unstable
+    # --compare run is refused before any replication runs.
+    if args.mode == "stationary" and (args.compare or not args.allow_unstable):
         require_steady_state(params)
     rho = derive(params).rho
 
@@ -545,7 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--warmup", type=_number, help="warmup minutes before measurement")
     p_sim.add_argument("--horizon-min", dest="horizon_min", type=_number, help="total simulated minutes")
     p_sim.add_argument("--start-state", dest="start_state", type=_number, help="initial calls in system")
-    p_sim.add_argument("--workers", type=_number, default=1, help="parallel replication workers")
+    p_sim.add_argument(
+        "--workers", type=_number, default=1,
+        help="accepted for compatibility (an integer >= 1); changes neither results nor speed",
+    )
     p_sim.add_argument("--assignment", choices=("random", "least_index"), default="random")
     p_sim.add_argument("--strict", action="store_true", help="fail unless a seed is given")
     p_sim.add_argument("--allow-unstable", action="store_true", help="simulate even when rho >= 1")

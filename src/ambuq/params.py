@@ -13,10 +13,16 @@ from typing import Callable
 from .errors import NoSteadyStateError, ParameterError
 
 
-def as_int(value, field: str, minimum: int | None = None) -> int:
+# Largest fleet any layer accepts: 100 times the supported 10^4, so that
+# no count reaches an O(M) loop or allocation without bound.
+MAX_FLEET = 10**6
+
+
+def as_int(value, field: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """The package's one integer rule: an int, or a float with an integral
     value (returned as int). Bools, other floats, strings and every other
-    type are refused, and so is a value below ``minimum`` when one is given.
+    type are refused, and so is a value below ``minimum`` or above
+    ``maximum`` when one is given.
     """
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -24,6 +30,8 @@ def as_int(value, field: str, minimum: int | None = None) -> int:
         raise ParameterError(f"{field} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ParameterError(f"{field} must be an integer >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ParameterError(f"{field} must be an integer <= {maximum}, got {value}")
     return value
 
 
@@ -59,7 +67,9 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "t_call", as_real(self.t_call, "t_call", positive=True))
         object.__setattr__(self, "t_service", as_real(self.t_service, "t_service", positive=True))
-        object.__setattr__(self, "servers", as_int(self.servers, "servers", minimum=1))
+        object.__setattr__(
+            self, "servers", as_int(self.servers, "servers", minimum=1, maximum=MAX_FLEET)
+        )
         # Every layer divides by the rates and their ratios (see derive); refuse
         # them once here when they overflow or underflow to inf, 0 or nan.
         lam, mu = self.arrival_rate, self.service_rate

@@ -5,10 +5,12 @@ queue discipline, per-server assignment) and the bare occupancy jump chain
 driven by the transition-rate ladder. Their occupancy laws must agree,
 which is exactly the modeling claim the analytics rest on.
 
-Every replication owns a counter-based Philox stream keyed by
-(seed, replication index), so estimates are bit-identical regardless of
-scheduling or worker count: per-replication results land in slots indexed
-by replication and are always reduced in index order.
+Every FCFS or jump-chain replication owns a counter-based Philox stream
+keyed by (seed, replication index). Hitting-time walks run in lockstep,
+HITTING_BLOCK replications to a stream keyed by (seed, block index).
+Per-replication results land in slots indexed by replication and are
+always reduced in index order, so estimates depend only on the seed and
+the replication count, never on the worker count.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import heapq
 import math
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -28,11 +28,14 @@ from .params import SystemParams, as_int, as_real, derive
 
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1024
+HITTING_BLOCK = 1024
+MAX_REPLICATIONS = 10**7
 N_BATCHES = 20
 
 
-def _stream(seed: int, replication: int) -> np.random.Generator:
-    key = ((seed & _MASK64) << 64) | (replication & _MASK64)
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed, replication or block index)."""
+    key = ((seed & _MASK64) << 64) | (index & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -86,7 +89,8 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         object.__setattr__(
-            self, "replications", as_int(self.replications, "replications", minimum=1)
+            self, "replications",
+            as_int(self.replications, "replications", minimum=1, maximum=MAX_REPLICATIONS),
         )
         object.__setattr__(self, "start_state", as_int(self.start_state, "start_state", minimum=0))
         if self.warmup is not None:
@@ -115,7 +119,7 @@ class SimConfig:
 class SimEstimate:
     """Monte-Carlo point estimate with its standard error.
 
-    Deterministic given (seed, replication index); n_samples counts
+    Deterministic given the seed and the replication count; n_samples counts
     replications for hitting times and contributing batches for
     time-average quantities.
     """
@@ -126,17 +130,35 @@ class SimEstimate:
     seed: int
 
 
-def _run_many(fn: Callable[[int], object], replications: int, workers: int) -> list:
-    workers = as_int(workers, "workers", minimum=1)
-    out = [None] * replications
-    if workers == 1:
-        for r in range(replications):
-            out[r] = fn(r)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for r, result in enumerate(pool.map(fn, range(replications))):
-            out[r] = result
-    return out
+def _hitting_times(
+    lam: float, mu: float, start_state: int, target: int, seed: int, replications: int
+) -> np.ndarray:
+    """First-passage times to ``target``, one per replication, in order.
+
+    Replications are cut into blocks of HITTING_BLOCK (the last may be
+    shorter) and block b draws from the stream keyed by (seed, b), so the
+    times of a whole block depend only on the seed and b. The walks of a
+    block advance in lockstep: each step draws one exponential and then one
+    uniform per walk still active, in replication order, and a walk retires
+    as soon as it reaches ``target``.
+    """
+    times = np.empty(replications)
+    for first in range(0, replications, HITTING_BLOCK):
+        gen = _stream(seed, first // HITTING_BLOCK)
+        slots = np.arange(first, min(first + HITTING_BLOCK, replications))
+        t = np.zeros(slots.size)
+        n = np.full(slots.size, start_state)
+        while slots.size:
+            # n <= target - 1 <= M while active, so the down rate needs no cap;
+            # at n = 0 the uniform test always steps up
+            total = lam + mu * n
+            t += gen.standard_exponential(slots.size) / total
+            n += np.where(gen.random(slots.size) * total < lam, 1, -1)
+            active = n != target
+            if not active.all():
+                times[slots[~active]] = t[~active]
+                slots, t, n = slots[active], t[active], n[active]
+    return times
 
 
 def simulate_hitting_time(
@@ -150,8 +172,10 @@ def simulate_hitting_time(
     Simulates the occupancy jump chain directly: exponential holding times
     at the total rate out of the current state, then an up/down step with
     probability proportional to the corresponding rate. The standard error
-    is the plain replication-variance estimate.
+    is the plain replication-variance estimate. ``workers`` is validated
+    but changes neither the result nor the speed.
     """
+    as_int(workers, "workers", minimum=1)
     m = params.servers
     start_state = as_int(start_state, "start_state", minimum=0)
     if start_state > m:
@@ -159,29 +183,10 @@ def simulate_hitting_time(
             f"start_state must be an integer in [0, {m}] (below the saturation target), "
             f"got {start_state!r}"
         )
-    lam = params.arrival_rate
-    mu = params.service_rate
-    target = m + 1
-
-    def one(rep: int) -> float:
-        draws = _Draws(_stream(config.seed, rep))
-        t = 0.0
-        n = start_state
-        while n != target:
-            if n == 0:
-                t += draws.exponential() / lam
-                n = 1
-                continue
-            down = mu * n  # n <= m before absorption, so no cap needed
-            total = lam + down
-            t += draws.exponential() / total
-            if draws.uniform() * total < lam:
-                n += 1
-            else:
-                n -= 1
-        return t
-
-    times = np.array(_run_many(one, config.replications, workers), dtype=float)
+    times = _hitting_times(
+        params.arrival_rate, params.service_rate, start_state, m + 1,
+        config.seed, config.replications,
+    )
     value = float(times.mean())
     if config.replications > 1:
         std_error = float(times.std(ddof=1) / math.sqrt(config.replications))
@@ -437,7 +442,10 @@ def simulate_stationary(
     Standard errors come from batch means over 20 equal post-warmup windows
     per replication. If rho >= 1 the run proceeds anyway with a warning;
     the estimates then describe a growing transient, not a steady state.
+    Replications run one after another; ``workers`` is validated but
+    changes neither the result nor the speed.
     """
+    as_int(workers, "workers", minimum=1)
     if assignment not in ("random", "least_index"):
         raise ParameterError(f"assignment must be 'random' or 'least_index', got {assignment!r}")
     t_los = as_real(t_los, "t_los")
@@ -450,14 +458,12 @@ def simulate_stationary(
             stacklevel=2,
         )
 
-    results = _run_many(
-        lambda rep: _run_fcfs_replication(params, cfg, rep, t_los, assignment, collect_waits),
-        cfg.replications,
-        workers,
-    )
     batches: list[_Batch] = []
     merged_waits: list[tuple[int, float]] = []
-    for rep_batches, rep_waits in results:
+    for rep in range(cfg.replications):
+        rep_batches, rep_waits = _run_fcfs_replication(
+            params, cfg, rep, t_los, assignment, collect_waits
+        )
         batches.extend(rep_batches)
         for _, wait in rep_waits:
             merged_waits.append((len(merged_waits), wait))
@@ -503,15 +509,12 @@ def simulate_jump_occupancy(
     workers: int = 1,
 ) -> dict[str, SimEstimate]:
     """Occupancy estimates from the bare jump chain, for cross-validation
-    against the FCFS system (same estimator, same batching)."""
+    against the FCFS system (same estimator, same batching). ``workers``
+    is validated but changes neither the result nor the speed."""
+    as_int(workers, "workers", minimum=1)
     cfg = config.resolved(params)
-    results = _run_many(
-        lambda rep: _run_jump_replication(params, cfg, rep),
-        cfg.replications,
-        workers,
-    )
     batches: list[_Batch] = []
-    for rep_batches in results:
-        batches.extend(rep_batches)
+    for rep in range(cfg.replications):
+        batches.extend(_run_jump_replication(params, cfg, rep))
     estimates = _occupancy_estimates(batches, params.servers, cfg.seed)
     return {name: est for name, est in estimates.items() if est is not None}

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .errors import NoSteadyStateError, ParameterError
 from .mfpt import _offsets
-from .params import SystemParams, as_int, as_real, derive, stability_bound
+from .params import MAX_FLEET, SystemParams, as_int, as_real, derive, stability_bound
 
 # The scan calls none of these; perfbench/tracing.py wraps them by name here.
 from .mfpt import mfpt_critical_profile
@@ -36,7 +36,8 @@ class SizingQuery:
     target    min LOS / max occupation probability (in (0, 1]) or min
               average time-to-saturation in minutes; ignored for stability
     t_los     threshold minutes, required for los_target only
-    m_max     scan cap; a query that fails up to here reports not-found
+    m_max     scan cap, at most MAX_FLEET; a query that fails up to here
+              reports not-found
     """
 
     kind: str
@@ -47,7 +48,9 @@ class SizingQuery:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "m_max", as_int(self.m_max, "m_max", minimum=1))
+        object.__setattr__(
+            self, "m_max", as_int(self.m_max, "m_max", minimum=1, maximum=MAX_FLEET)
+        )
         if self.kind != "stability":
             object.__setattr__(self, "target", as_real(self.target, "target", positive=True))
         if self.kind in ("los_target", "occup_ceiling") and self.target > 1.0:

@@ -4,7 +4,8 @@ Each helper deliberately takes a different route from the library code it
 checks: a full dense solve instead of banded elimination, exact rational
 arithmetic instead of floating recurrences, raw series summation instead
 of closed forms, the nested closed form instead of the one-term recurrence,
-the summed stationary average instead of the identity it collapses to.
+the summed stationary average instead of the identity it collapses to,
+one scalar walk per replication instead of walks run in lockstep.
 """
 
 import math
@@ -13,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from ambuq import derive, gamma_wait_density, queue_conditional_pmf
+from ambuq.simulate import _Draws, _stream
 
 
 def hitting_times_dense(ladder, target):
@@ -129,3 +131,32 @@ def busy_fraction_summed(params):
         busy += weights[n] * n / m
     busy += weights[m] / (1.0 - d.rho)
     return busy / norm
+
+
+def hitting_times_scalar(params, start_state, seed, replications):
+    """First-passage times to M+1, one scalar walk per replication.
+
+    Replication r draws from its own stream keyed by (seed, r), 1024 values
+    at a time, and takes a step at n = 0 without a uniform draw.
+    """
+    lam = params.arrival_rate
+    mu = params.service_rate
+    target = params.servers + 1
+    times = []
+    for rep in range(replications):
+        draws = _Draws(_stream(seed, rep))
+        t = 0.0
+        n = start_state
+        while n != target:
+            if n == 0:
+                t += draws.exponential() / lam
+                n = 1
+                continue
+            total = lam + mu * n
+            t += draws.exponential() / total
+            if draws.uniform() * total < lam:
+                n += 1
+            else:
+                n -= 1
+        times.append(t)
+    return times

@@ -2,8 +2,17 @@ import json
 
 import pytest
 
-from ambuq import SystemParams, mfpt_critical_profile, stationary_profile
+from ambuq import (
+    ParameterError,
+    SimConfig,
+    SizingQuery,
+    SystemParams,
+    mfpt_critical_profile,
+    stationary_profile,
+)
 from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, main
+from ambuq.params import MAX_FLEET
+from ambuq.simulate import MAX_REPLICATIONS
 
 
 def run(*argv):
@@ -285,6 +294,10 @@ def config_file(tmp_path, **values):
     return path
 
 
+# In the config slot of the bad-input cases: --out-dir names a regular file.
+OUT_DIR_IS_A_FILE = "out-dir-is-a-file"
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -307,15 +320,68 @@ def config_file(tmp_path, **values):
         (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1..10001:1"), None),
         (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1..1e9:1e-9"), None),
         (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1..1e308:1e-300"), None),
+        # counts past their caps, refused before any scan or replication
+        (("size", "--t-call", 1, "--t-service", 1e300, "--servers", 1, "--horizon", 1e300,
+          "--m-max", 1e12), None),
+        (("size", *BASE, "--servers", 1, "--stability", "--m-max", 1_000_001), None),
+        (("analyze", *BASE, "--servers", 1_000_001), None),
+        (("mfpt", *BASE, "--servers", 1e12), None),
+        (("simulate", *BASE, "--servers", 6, "--seed", 1, "--mode", "hitting",
+          "--replications", 10_000_001), None),
+        (("analyze", *BASE, "--servers", 6), OUT_DIR_IS_A_FILE),
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, config):
     out_dir = tmp_path / "out"
-    if config is not None:
+    if config == OUT_DIR_IS_A_FILE:
+        out_dir.write_text("kept\n")
+    elif config is not None:
         argv = (*argv, "--config", config_file(tmp_path, **config))
     assert run(*argv, "--out-dir", out_dir) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert written(out_dir) == []
+    if config == OUT_DIR_IS_A_FILE:
+        assert str(out_dir) in err
+        assert out_dir.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_count_caps_admit_the_cap_itself():
+    # constructing the queries runs no scan and no replication
+    assert SizingQuery(kind="stability", m_max=MAX_FLEET).m_max == MAX_FLEET
+    assert SystemParams(t_call=15, t_service=50, servers=MAX_FLEET).servers == MAX_FLEET
+    config = SimConfig(seed=1, replications=MAX_REPLICATIONS)
+    assert config.replications == MAX_REPLICATIONS
+    with pytest.raises(ParameterError, match="m_max must be an integer <= 1000000"):
+        SizingQuery(kind="stability", m_max=MAX_FLEET + 1)
+    with pytest.raises(ParameterError, match="servers must be an integer <= 1000000"):
+        SystemParams(t_call=15, t_service=50, servers=MAX_FLEET + 1)
+    with pytest.raises(ParameterError, match="replications must be an integer <= 10000000"):
+        SimConfig(seed=1, replications=MAX_REPLICATIONS + 1)
+
+
+def test_unstable_compare_is_refused_before_simulating(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("simulate_stationary ran")
+
+    monkeypatch.setattr("ambuq.cli.simulate_stationary", never)
+    code = run(
+        "simulate", "--allow-unstable", "--compare", *BASE, "--servers", 3, "--seed", 1,
+        "--warmup", 100, "--horizon-min", 5100, "--out-dir", tmp_path / "out",
+    )
+    assert code == 3
+    assert "no steady state" in capsys.readouterr().err
+    assert written(tmp_path / "out") == []
+
+
+def test_unstable_hitting_compare_still_runs(tmp_path):
+    code = run(
+        "simulate", "--mode", "hitting", "--compare", *BASE, "--servers", 3, "--seed", 1,
+        "--replications", 50, "--out-dir", tmp_path,
+    )
+    assert code == 0
+    assert (tmp_path / "sim.json").exists()
 
 
 def test_expansion_cap_admits_ten_thousand_entries(tmp_path):

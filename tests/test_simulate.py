@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ambuq import (
@@ -16,6 +17,8 @@ from ambuq import (
     simulate_stationary,
     stationary_profile,
 )
+from ambuq.simulate import HITTING_BLOCK, _hitting_times
+from oracles import hitting_times_scalar
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
 SHORT = SimConfig(seed=11, replications=1, warmup=2500.0, horizon=202500.0)
@@ -92,9 +95,36 @@ def test_hitting_time_deterministic_across_runs_and_workers():
     first = simulate_hitting_time(REFERENCE, 0, cfg)
     second = simulate_hitting_time(REFERENCE, 0, cfg)
     parallel = simulate_hitting_time(REFERENCE, 0, cfg, workers=4)
-    assert first == second == parallel
+    pair = simulate_hitting_time(REFERENCE, 0, cfg, workers=2)
+    assert first == second == parallel == pair
     other = simulate_hitting_time(REFERENCE, 0, SimConfig(seed=6, replications=500))
     assert other.value != first.value
+
+
+@pytest.mark.parametrize(
+    "servers, rho, start, seed",
+    [(1, 1.0, 0, 41), (6, 0.6, 3, 43), (12, 1.4, 6, 47)],
+)
+def test_lockstep_kernel_matches_scalar_walk(servers, rho, start, seed):
+    params = SystemParams(t_call=10.0, t_service=10.0 * rho * servers, servers=servers)
+    replications = 3000
+    kernel = simulate_hitting_time(params, start, SimConfig(seed=seed, replications=replications))
+    scalar = np.array(hitting_times_scalar(params, start, seed + 1000, replications))
+    scalar_se = scalar.std(ddof=1) / math.sqrt(replications)
+    z = (kernel.value - scalar.mean()) / math.hypot(kernel.std_error, scalar_se)
+    assert abs(z) <= 4.0
+
+
+def test_hitting_blocks_are_fixed():
+    # a block's walks share one stream, so only whole blocks survive a
+    # change in the replication count
+    params = SystemParams(t_call=16, t_service=50, servers=6)
+    args = (params.arrival_rate, params.service_rate, 2, params.servers + 1, 13)
+    full = _hitting_times(*args, HITTING_BLOCK)
+    longer = _hitting_times(*args, HITTING_BLOCK + 1)
+    assert HITTING_BLOCK == 1024
+    assert np.array_equal(longer[:HITTING_BLOCK], full)
+    assert not np.array_equal(_hitting_times(*args, HITTING_BLOCK - 1), full[:-1])
 
 
 def test_stationary_estimates_match_analytics():
