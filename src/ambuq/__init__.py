@@ -5,27 +5,13 @@ inverse fleet sizing) are each cross-validated by an embedded stochastic
 simulation oracle; the CLI in :mod:`ambuq.cli` exposes the whole surface.
 """
 
-from .errors import NoSteadyStateError, ParameterError, UnreachableTargetError
-from .mfpt import (
-    MfptProfile,
-    mfpt_critical_profile,
-    mfpt_general,
-    mfpt_linear_solve,
-    mfpt_sweep,
-)
-from .params import (
-    DerivedParams,
-    RateLadder,
-    SystemParams,
-    build_params,
-    derive,
-    rate_at,
-)
+from .errors import NoSteadyStateError, ParameterError
+from .mfpt import MfptProfile, mfpt_critical_profile, mfpt_sweep
+from .params import DerivedParams, SystemParams, derive
 from .service_metrics import (
     ServiceReport,
     cost_rate,
     full_report,
-    gamma_wait_density,
     level_of_service,
     mean_wait,
     p_server_busy,
@@ -37,7 +23,6 @@ from .simulate import (
     SimEstimate,
     StationaryResult,
     simulate_hitting_time,
-    simulate_jump_occupancy,
     simulate_stationary,
 )
 from .sizing import SizingQuery, SizingResult, min_fleet, stability_bound
@@ -47,9 +32,7 @@ from .steady_state import (
     p_occupation,
     queue_conditional_pmf,
     queue_stats,
-    stationary_general,
     stationary_profile,
-    suggested_truncation,
 )
 
 __version__ = "0.1.0"
@@ -60,7 +43,6 @@ __all__ = [
     "NoSteadyStateError",
     "ParameterError",
     "QueueStats",
-    "RateLadder",
     "ServiceReport",
     "SimConfig",
     "SimEstimate",
@@ -69,31 +51,22 @@ __all__ = [
     "StationaryProfile",
     "StationaryResult",
     "SystemParams",
-    "UnreachableTargetError",
-    "build_params",
     "cost_rate",
     "derive",
     "full_report",
-    "gamma_wait_density",
     "level_of_service",
     "mean_wait",
     "mfpt_critical_profile",
-    "mfpt_general",
-    "mfpt_linear_solve",
     "mfpt_sweep",
     "min_fleet",
     "p_occupation",
     "p_server_busy",
     "queue_conditional_pmf",
     "queue_stats",
-    "rate_at",
     "simulate_hitting_time",
-    "simulate_jump_occupancy",
     "simulate_stationary",
     "stability_bound",
-    "stationary_general",
     "stationary_profile",
-    "suggested_truncation",
     "throughput",
     "wait_density",
 ]

@@ -28,6 +28,7 @@ from .steady_state import (
     p_occupation,
     queue_conditional_pmf,
     queue_stats,
+    stationary_csv_length,
     stationary_csv_rows,
     stationary_profile,
 )
@@ -244,14 +245,17 @@ def _cmd_analyze(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
 
-    # Every fleet is checked before any file is written, so a refusal
-    # leaves no partial output behind.
+    # Every fleet is checked before any file is written, and the summary is
+    # printed after the last write, so a refusal leaves no partial output.
     checked = []
     reports = []
     summary_lines = []
+    display = []
     for m in scenario.servers:
         params = _params_for(scenario, m)
         rho = require_steady_state(params).rho
+        if args.stationary_csv:
+            stationary_csv_length(params)  # refuses an over-long dump
         report = full_report(params, scenario.t_los_min, scenario.cost_per_attention)
         checked.append(params)
         reports.append(report.to_dict())
@@ -260,7 +264,7 @@ def _cmd_analyze(args) -> int:
             f"{m},{rho!r},{report.p_occup!r},{report.p_busy!r},{report.los!r},"
             f"{1.0 - report.los!r},{stats.mean_len!r},{stats.std_len!r},{report.mean_wait!r}\n"
         )
-        print(
+        display.append(
             f"M={m}: rho={rho:.6g} p_occup={report.p_occup:.6g} p_busy={report.p_busy:.6g} "
             f"LOS({scenario.t_los_min:g} min)={report.los:.6g} "
             f"mean_wait={_fmt_minutes(report.mean_wait, args.hours)} "
@@ -273,6 +277,7 @@ def _cmd_analyze(args) -> int:
     if args.stationary_csv:
         for params in checked:
             write_stationary_csv(params, out_dir / f"stationary_M{params.servers}.csv")
+    print("\n".join(display))
     print(f"wrote {out_dir / 'report.json'}")
     return EXIT_OK
 
@@ -408,6 +413,7 @@ def _cmd_simulate(args) -> int:
         seed = int.from_bytes(os.urandom(8), "big")
         print(f"note: no seed given, using {seed}", file=sys.stderr)
 
+    as_int(args.workers, "workers", minimum=1)
     config = SimConfig(
         seed=seed,
         replications=scenario.replications,
@@ -424,7 +430,7 @@ def _cmd_simulate(args) -> int:
 
     payload: dict = {"mode": args.mode}
     if args.mode == "hitting":
-        estimate = simulate_hitting_time(params, scenario.start_state, config, workers=args.workers)
+        estimate = simulate_hitting_time(params, scenario.start_state, config)
         estimates = {"hitting_time_mean": estimate}
         resolved = config
         print(
@@ -441,7 +447,6 @@ def _cmd_simulate(args) -> int:
             params,
             resolved,
             t_los=scenario.t_los_min,
-            workers=args.workers,
             assignment=args.assignment,
             collect_waits=args.wait_samples,
         )

@@ -14,7 +14,3 @@ class NoSteadyStateError(ValueError):
             message
             or f"no steady state: traffic intensity rho={rho:.6g} is not below 1"
         )
-
-
-class UnreachableTargetError(ValueError):
-    """A first-passage target cannot be reached because an upward rate vanishes."""

@@ -3,13 +3,9 @@
 The walk reflects at 0 and saturates on first entry into state M+1 (all
 servers assigned and one call newly queued). ``mfpt_critical_profile`` and
 ``mfpt_sweep`` sum the one-term recurrence of the fleet ladder in O(M) per
-call spacing. ``mfpt_general`` evaluates the nested sum/product expression
-for an arbitrary ladder, and ``mfpt_linear_solve`` an independent
-tridiagonal-system oracle; both cross-check the recurrence.
-
-The nested sums are evaluated with running products extended one factor
-at a time (never factorials or separate powers), so intermediates stay
-representable whenever the result itself is.
+call spacing; it never forms factorials or separate powers. The tests
+cross-check it against the nested sum/product expression and a tridiagonal
+solve, both in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,8 +14,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import ParameterError, UnreachableTargetError
-from .params import RateLadder, SystemParams, as_int
+from .errors import ParameterError
+from .params import SystemParams
 
 
 @dataclass(frozen=True)
@@ -36,45 +32,6 @@ class MfptProfile:
     @property
     def servers(self) -> int:
         return len(self.times) - 1
-
-
-def _time_from_origin(ladder: RateLadder, boundary: int) -> float:
-    # Mean hitting time of `boundary` from 0 with a reflecting origin:
-    #   sum_{k<boundary} 1/up(k)
-    #   + sum_{k<boundary-1} (1/up(k)) * sum_{i=k+1}^{boundary-1} prod_{j=k+1}^{i} down(j)/up(j)
-    # k outer ascending, i inner ascending, product extended incrementally in i.
-    total = 0.0
-    for k in range(boundary):
-        up_k = ladder.up(k)
-        if not up_k > 0.0:
-            raise UnreachableTargetError(
-                f"upward rate vanishes at state {k}; states above are unreachable"
-            )
-        total += 1.0 / up_k
-    for k in range(boundary - 1):
-        prod = 1.0
-        inner = 0.0
-        for i in range(k + 1, boundary):
-            prod *= ladder.down(i) / ladder.up(i)
-            inner += prod
-        total += inner / ladder.up(k)
-    return total
-
-
-def mfpt_general(ladder: RateLadder, start: int, target: int) -> float:
-    """Mean time for the walk to first reach ``target`` from ``start``.
-
-    Requires 0 <= start < target. Raises UnreachableTargetError if any
-    upward rate below the target vanishes (the reflecting walk revisits
-    low states, so those rates all matter).
-    """
-    start = as_int(start, "start", minimum=0)
-    target = as_int(target, "target")
-    if target <= start:
-        raise ParameterError(f"need 0 <= start < target, got start={start}, target={target}")
-    # Hitting times on a line are additive: time(start -> target) equals
-    # time(0 -> target) minus time(0 -> start).
-    return _time_from_origin(ladder, target) - _time_from_origin(ladder, start)
 
 
 def _offsets(params: SystemParams) -> Iterator[float]:
@@ -115,37 +72,6 @@ def mfpt_critical_profile(params: SystemParams) -> MfptProfile:
     for k, h in enumerate(offsets):
         weighted += (k + 1) * h
     return MfptProfile(times=tuple(times), mean_time=weighted / (m + 1))
-
-
-def mfpt_linear_solve(ladder: RateLadder, target: int) -> list[float]:
-    """Hitting times of ``target`` from every start 0..target-1, solved directly.
-
-    Independent oracle: the hitting times satisfy the tridiagonal balance
-    (up_n + down_n) T(n) - up_n T(n+1) - down_n T(n-1) = 1 with a reflecting
-    origin and T(target) = 0. Forward elimination of the subdiagonal starting
-    at the reflecting row reduces row n to T(n) = T(n+1) + h(n) with strictly
-    positive fill-in, so no pivoting or cancellation occurs and the solve
-    stays componentwise accurate even when the times span many orders of
-    magnitude (a generic pivoted solver loses everything there, since the
-    matrix condition number is of the order of the solution itself).
-    """
-    target = as_int(target, "target", minimum=1)
-    offsets = [0.0] * target
-    for n in range(target):
-        up = ladder.up(n)
-        if not up > 0.0:
-            raise UnreachableTargetError(
-                f"upward rate vanishes at state {n}; the system is not solvable"
-            )
-        if n == 0:
-            offsets[0] = 1.0 / up
-        else:
-            offsets[n] = (1.0 + ladder.down(n) * offsets[n - 1]) / up
-    times = [0.0] * target
-    times[target - 1] = offsets[target - 1]
-    for n in range(target - 2, -1, -1):
-        times[n] = times[n + 1] + offsets[n]
-    return times
 
 
 def mfpt_sweep(

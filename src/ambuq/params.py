@@ -1,4 +1,4 @@
-"""Validated system parameters and the state-dependent transition-rate ladder.
+"""Validated system parameters, the derived ratios and the input rules.
 
 The canonical time unit is minutes everywhere; rates are per minute. Unit
 conversion, if any, happens at the CLI boundary only.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import NoSteadyStateError, ParameterError
 
@@ -131,43 +130,3 @@ def require_steady_state(params: SystemParams) -> DerivedParams:
             f"minimum stable fleet is {stability_bound(params.t_call, params.t_service)}",
         )
     return d
-
-
-def build_params(t_call, t_service, servers) -> tuple[SystemParams, DerivedParams]:
-    """Validate raw inputs and return them with the derived quantities."""
-    params = SystemParams(t_call=t_call, t_service=t_service, servers=servers)
-    return params, derive(params)
-
-
-@dataclass(frozen=True)
-class RateLadder:
-    """Nearest-neighbour transition rates of the occupancy walk.
-
-    ``up(n)`` is defined for states n >= 0 and ``down(n)`` for n >= 1; state 0
-    is a reflecting boundary. Rates are evaluated on demand from the callables,
-    so the ladder is exact for arbitrarily large states.
-    """
-
-    up: Callable[[int], float]
-    down: Callable[[int], float]
-
-    @classmethod
-    def for_fleet(cls, params: SystemParams) -> "RateLadder":
-        """Ladder of the M-server queue: constant arrivals, service rate
-        proportional to busy servers and capped at the fleet size."""
-        lam = params.arrival_rate
-        mu = params.service_rate
-        m = params.servers
-        return cls(up=lambda n: lam, down=lambda n: mu * min(n, m))
-
-
-def rate_at(ladder: RateLadder, state: int, direction: str) -> float:
-    """Evaluate one transition rate, guarding the reflecting boundary."""
-    state = as_int(state, "state", minimum=0)
-    if direction == "up":
-        return ladder.up(state)
-    if direction == "down":
-        if state == 0:
-            raise ParameterError("downward rate is undefined at the reflecting state 0")
-        return ladder.down(state)
-    raise ParameterError(f"direction must be 'up' or 'down', got {direction!r}")

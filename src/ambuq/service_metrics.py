@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .params import SystemParams, as_int, as_real, require_steady_state
+from .params import SystemParams, as_real, require_steady_state
 from .steady_state import p_occupation
 
 # Not called here; perfbench/tracing.py wraps this name in this module.
@@ -45,22 +45,6 @@ class ServiceReport:
 def _wait_rate(params: SystemParams) -> float:
     d = require_steady_state(params)
     return (1.0 - d.rho) * params.servers * params.service_rate
-
-
-def gamma_wait_density(t: float, k_ahead: int, params: SystemParams) -> float:
-    """Density of the wait given k_ahead calls already queued at arrival.
-
-    The wait is the sum of k_ahead + 1 exponential service headways at the
-    full-fleet rate M * mu, i.e. a Gamma density with integer shape. Uses a
-    log-space evaluation so large shapes stay finite.
-    """
-    k_ahead = as_int(k_ahead, "k_ahead", minimum=0)
-    t = as_real(t, "t")
-    alpha = params.servers * params.service_rate
-    if t == 0.0:
-        return alpha if k_ahead == 0 else 0.0
-    x = alpha * t
-    return alpha * math.exp(k_ahead * math.log(x) - x - math.lgamma(k_ahead + 1))
 
 
 def wait_density(t: float, params: SystemParams) -> float:

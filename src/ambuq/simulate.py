@@ -1,16 +1,16 @@
 """Event-driven stochastic oracle for the fleet queue.
 
-Two processes are available: the full FCFS multi-server system (arrivals,
-queue discipline, per-server assignment) and the bare occupancy jump chain
-driven by the transition-rate ladder. Their occupancy laws must agree,
-which is exactly the modeling claim the analytics rest on.
+Two simulations are available: the full FCFS multi-server system
+(arrivals, queue discipline, per-server assignment), whose occupancy law
+must agree with the analytic one, and the occupancy walk's first passage
+to saturation, whose mean must agree with the saturation time.
 
-Every FCFS or jump-chain replication owns a counter-based Philox stream
-keyed by (seed, replication index). Hitting-time walks run in lockstep,
-HITTING_BLOCK replications to a stream keyed by (seed, block index).
-Per-replication results land in slots indexed by replication and are
-always reduced in index order, so estimates depend only on the seed and
-the replication count, never on the worker count.
+Every FCFS replication owns a counter-based Philox stream keyed by (seed,
+replication index). Hitting-time walks run in lockstep, HITTING_BLOCK
+replications to a stream keyed by (seed, block index). Per-replication
+results land in slots indexed by replication and are always reduced in
+index order, so estimates depend only on the seed and the replication
+count. Replications run one after another in the calling thread.
 """
 
 from __future__ import annotations
@@ -24,12 +24,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
+from .mfpt import mfpt_critical_profile
 from .params import SystemParams, as_int, as_real, derive
 
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1024
 HITTING_BLOCK = 1024
 MAX_REPLICATIONS = 10**7
+# Most steps a hitting-time run may be expected to take, counted as
+# replications x T(start) x (lambda + M mu), an upper bound. A step costs
+# about 0.1 us when full blocks of walks run in lockstep, up to 100 times
+# more when only a few walks do.
+MAX_HITTING_STEPS = 10**8
 N_BATCHES = 20
 
 
@@ -165,23 +171,31 @@ def simulate_hitting_time(
     params: SystemParams,
     start_state: int,
     config: SimConfig,
-    workers: int = 1,
 ) -> SimEstimate:
     """Estimate the mean time to first enter state M+1 from ``start_state``.
 
     Simulates the occupancy jump chain directly: exponential holding times
     at the total rate out of the current state, then an up/down step with
     probability proportional to the corresponding rate. The standard error
-    is the plain replication-variance estimate. ``workers`` is validated
-    but changes neither the result nor the speed.
+    is the plain replication-variance estimate. A run whose expected step
+    count may exceed MAX_HITTING_STEPS is refused before it starts.
     """
-    as_int(workers, "workers", minimum=1)
     m = params.servers
     start_state = as_int(start_state, "start_state", minimum=0)
     if start_state > m:
         raise ParameterError(
             f"start_state must be an integer in [0, {m}] (below the saturation target), "
             f"got {start_state!r}"
+        )
+    steps = (
+        config.replications
+        * mfpt_critical_profile(params).times[start_state]
+        * (params.arrival_rate + m * params.service_rate)
+    )
+    if not steps <= MAX_HITTING_STEPS:
+        raise ParameterError(
+            f"hitting-time run from state {start_state} would take about {steps:.3g} steps "
+            f"(replications x T(start) x (lambda + M mu)), more than {MAX_HITTING_STEPS:.0e}"
         )
     times = _hitting_times(
         params.arrival_rate, params.service_rate, start_state, m + 1,
@@ -216,17 +230,27 @@ class _Batch:
 
 
 def _split(t0: float, t1: float, warmup: float, horizon: float, batch_len: float):
-    """Pieces of [t0, t1) clipped to the measurement window, keyed by batch."""
+    """Pieces of [t0, t1) clipped to the measurement window, keyed by batch.
+
+    The batch index steps forward from one piece to the next, never
+    recomputed from a rounded edge, and the last batch ends at the horizon.
+    """
     lo = t0 if t0 > warmup else warmup
     hi = t1 if t1 < horizon else horizon
-    while lo < hi:
-        b = int((lo - warmup) / batch_len)
-        if b >= N_BATCHES:
-            b = N_BATCHES - 1
+    if lo >= hi:
+        return
+    b = int((lo - warmup) / batch_len)
+    while True:
+        if b >= N_BATCHES - 1:
+            yield N_BATCHES - 1, hi - lo
+            return
         edge = warmup + (b + 1) * batch_len
-        cut = hi if hi < edge else edge
-        yield b, cut - lo
-        lo = cut
+        if hi <= edge:
+            yield b, hi - lo
+            return
+        yield b, edge - lo
+        lo = edge
+        b += 1
 
 
 def _batch_index(t: float, warmup: float, batch_len: float) -> int:
@@ -350,43 +374,6 @@ def _run_fcfs_replication(
     return batches, waits
 
 
-def _run_jump_replication(
-    params: SystemParams,
-    config: SimConfig,
-    rep: int,
-) -> list[_Batch]:
-    m = params.servers
-    lam = params.arrival_rate
-    mu = params.service_rate
-    warmup = config.warmup
-    horizon = config.horizon
-    batch_len = (horizon - warmup) / N_BATCHES
-    batches = [_Batch(batch_len, 0) for _ in range(N_BATCHES)]
-    draws = _Draws(_stream(config.seed, rep))
-
-    t = 0.0
-    n = config.start_state
-    while t < horizon:
-        down = mu * (n if n < m else m) if n >= 1 else 0.0
-        total = lam + down
-        t_next = t + draws.exponential() / total
-        t_stop = t_next if t_next < horizon else horizon
-        for b, seg in _split(t, t_stop, warmup, horizon, batch_len):
-            batch = batches[b]
-            batch.occ[n] = batch.occ.get(n, 0.0) + seg
-            if n >= m:
-                batch.occup_time += seg
-                batch.queue_area += (n - m) * seg
-        t = t_next
-        if t >= horizon:
-            break
-        if draws.uniform() * total < lam:
-            n += 1
-        else:
-            n -= 1
-    return batches
-
-
 def _estimate(values: list[float], seed: int) -> SimEstimate | None:
     if not values:
         return None
@@ -427,7 +414,6 @@ def simulate_stationary(
     params: SystemParams,
     config: SimConfig,
     t_los: float = 30.0,
-    workers: int = 1,
     assignment: str = "random",
     collect_waits: bool = False,
 ) -> StationaryResult:
@@ -442,10 +428,7 @@ def simulate_stationary(
     Standard errors come from batch means over 20 equal post-warmup windows
     per replication. If rho >= 1 the run proceeds anyway with a warning;
     the estimates then describe a growing transient, not a steady state.
-    Replications run one after another; ``workers`` is validated but
-    changes neither the result nor the speed.
     """
-    as_int(workers, "workers", minimum=1)
     if assignment not in ("random", "least_index"):
         raise ParameterError(f"assignment must be 'random' or 'least_index', got {assignment!r}")
     t_los = as_real(t_los, "t_los")
@@ -501,20 +484,3 @@ def simulate_stationary(
         batch_queue_means=batch_queue_means,
         waits=tuple(merged_waits) if collect_waits else None,
     )
-
-
-def simulate_jump_occupancy(
-    params: SystemParams,
-    config: SimConfig,
-    workers: int = 1,
-) -> dict[str, SimEstimate]:
-    """Occupancy estimates from the bare jump chain, for cross-validation
-    against the FCFS system (same estimator, same batching). ``workers``
-    is validated but changes neither the result nor the speed."""
-    as_int(workers, "workers", minimum=1)
-    cfg = config.resolved(params)
-    batches: list[_Batch] = []
-    for rep in range(cfg.replications):
-        batches.extend(_run_jump_replication(params, cfg, rep))
-    estimates = _occupancy_estimates(batches, params.servers, cfg.seed)
-    return {name: est for name, est in estimates.items() if est is not None}

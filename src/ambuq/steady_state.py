@@ -1,8 +1,10 @@
 """Stationary occupancy distribution, occupation probability, queue-length law.
 
-The distribution below the fleet size follows the multiplicative head
-recurrence; at and above it the tail is exactly geometric with ratio rho,
-so the tail is kept symbolic as (pi_M, rho) rather than materialized.
+The all-busy probability comes from the Erlang-B recurrence
+(``p_occupation``). The distribution below the fleet size is built
+outwards from its mode; at and above the fleet size the tail is exactly
+geometric with ratio rho, so the tail is kept symbolic as (pi_M, rho)
+rather than materialized.
 """
 
 from __future__ import annotations
@@ -10,31 +12,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoSteadyStateError, ParameterError
-from .params import RateLadder, SystemParams, as_int, require_steady_state
+from .errors import ParameterError
+from .params import SystemParams, as_int, derive, require_steady_state
 
 # rho this close to 1 still has a steady state, but queue moments blow up
 # like 1/(1-rho); the profile carries a conditioning flag instead of failing.
 ILL_CONDITIONING_BAND = 1e-9
 
+# Most rows a stationary CSV may hold. The tail down to 1e-9 mass takes
+# about 20.7 / (1 - rho) rows, so this refuses rho within about 2e-5 of 1.
+MAX_CSV_ROWS = 10**6
+
 
 def _occupancy_weights(params: SystemParams) -> tuple[list[float], float, float]:
-    """Unnormalized head weights a^n / n! and the normalization constant.
+    """The head pi_0..pi_M, the occupation probability and rho.
 
-    The normalization folds the whole geometric tail into the last term.
-    Raises NoSteadyStateError when rho >= 1 (the tail mass diverges).
+    The weights a^n / n! are scaled to 1 at the mode n = floor(a) and built
+    outwards from it, times n / a going down and a / n going up. No weight
+    exceeds 1, so nothing overflows at any offered load, and the mode never
+    underflows; weights far from it may. The normalisation folds the
+    geometric tail into the last term. The occupation probability is
+    ``p_occupation``'s. Raises NoSteadyStateError when rho >= 1.
     """
-    d = require_steady_state(params)
+    p_occup = p_occupation(params)
+    d = derive(params)
     m = params.servers
     a = d.offered_load
-    weights = [1.0]
-    for n in range(m):
-        weights.append(weights[-1] * a / (n + 1))
-    norm = 0.0
-    for n in range(m):
-        norm += weights[n]
-    norm += weights[m] / (1.0 - d.rho)
-    return weights, norm, d.rho
+    mode = math.floor(a)  # below m, since rho < 1
+    weights = [0.0] * (m + 1)
+    w = 1.0
+    for n in range(mode, -1, -1):
+        weights[n] = w
+        w = w * n / a
+    w = 1.0
+    for n in range(mode + 1, m + 1):
+        w = w * a / n
+        weights[n] = w
+    norm = sum(weights[:m]) + weights[m] / (1.0 - d.rho)
+    return [w / norm for w in weights], p_occup, d.rho
 
 
 @dataclass(frozen=True)
@@ -47,7 +62,6 @@ class StationaryProfile:
 
     head: tuple[float, ...]
     tail_ratio: float
-    norm: float
     p_occup: float
     ill_conditioned: bool
 
@@ -64,66 +78,13 @@ class StationaryProfile:
 
 def stationary_profile(params: SystemParams) -> StationaryProfile:
     """Closed-form stationary distribution; requires traffic intensity < 1."""
-    weights, norm, rho = _occupancy_weights(params)
-    head = tuple(w / norm for w in weights)
-    p_occup = weights[params.servers] / ((1.0 - rho) * norm)
+    head, p_occup, rho = _occupancy_weights(params)
     return StationaryProfile(
-        head=head,
+        head=tuple(head),
         tail_ratio=rho,
-        norm=norm,
         p_occup=p_occup,
         ill_conditioned=rho >= 1.0 - ILL_CONDITIONING_BAND,
     )
-
-
-def stationary_general(ladder: RateLadder, truncation: int) -> list[float]:
-    """Product-form stationary law of an arbitrary ladder on [0, truncation].
-
-    The caller picks the truncation so the neglected tail mass is below
-    1e-12; this is checked here with the geometric bound taken at the
-    truncation point and is feasible only for ladders whose tail weight
-    ratio stays below 1.
-    """
-    truncation = as_int(truncation, "truncation", minimum=0)
-    weights = [1.0]
-    for n in range(1, truncation + 1):
-        down = ladder.down(n)
-        if not down > 0.0:
-            raise ParameterError(f"downward rate must be positive at state {n}, got {down!r}")
-        weights.append(weights[-1] * ladder.up(n - 1) / down)
-    total = 0.0
-    for w in weights:
-        total += w
-    down_next = ladder.down(truncation + 1)
-    if not down_next > 0.0:
-        raise ParameterError(
-            f"downward rate must be positive at state {truncation + 1}, got {down_next!r}"
-        )
-    ratio = ladder.up(truncation) / down_next
-    if ratio >= 1.0:
-        raise NoSteadyStateError(
-            ratio,
-            f"stationary weights diverge: tail weight ratio {ratio:.6g} >= 1 "
-            f"at state {truncation}",
-        )
-    tail_bound = weights[-1] * ratio / (1.0 - ratio)
-    if tail_bound > 1e-12 * total:
-        raise ParameterError(
-            f"truncation {truncation} too small: geometric tail bound "
-            f"{tail_bound / total:.3g} of total mass exceeds 1e-12"
-        )
-    return [w / total for w in weights]
-
-
-def suggested_truncation(params: SystemParams, tail_mass: float = 1e-12) -> int:
-    """Truncation for stationary_general leaving under ``tail_mass`` behind."""
-    d = require_steady_state(params)
-    if not 0.0 < tail_mass < 1.0:
-        raise ParameterError(f"tail_mass must be in (0, 1), got {tail_mass!r}")
-    # Mass above N is at most rho**(N - M) relative to the head, so walk the
-    # exponent until the bound clears with a small safety margin.
-    extra = math.ceil(math.log(tail_mass) / math.log(d.rho)) + 2
-    return params.servers + max(extra, 1)
 
 
 def p_occupation(params: SystemParams) -> float:
@@ -167,10 +128,20 @@ def queue_stats(params: SystemParams) -> QueueStats:
     )
 
 
+def stationary_csv_length(params: SystemParams) -> int:
+    """Number of rows of ``stationary_csv_rows``: the head and the tail down
+    to ~1e-9 mass. Raises ParameterError when that exceeds MAX_CSV_ROWS."""
+    rho = require_steady_state(params).rho
+    rows = params.servers + math.ceil(math.log(1e-9) / math.log(rho)) + 1
+    if rows > MAX_CSV_ROWS:
+        raise ParameterError(
+            f"stationary CSV for servers={params.servers} at rho={rho:.6g} would hold "
+            f"{rows} rows, more than {MAX_CSV_ROWS}"
+        )
+    return rows
+
+
 def stationary_csv_rows(params: SystemParams) -> list[tuple[int, float]]:
     """(n, pi_n) rows covering the head and the tail down to ~1e-9 mass."""
     profile = stationary_profile(params)
-    rho = profile.tail_ratio
-    top = params.servers + math.ceil(math.log(1e-9) / math.log(rho))
-    return [(n, profile.pi(n)) for n in range(top + 1)]
-
+    return [(n, profile.pi(n)) for n in range(stationary_csv_length(params))]

@@ -6,15 +6,239 @@ arithmetic instead of floating recurrences, raw series summation instead
 of closed forms, the nested closed form instead of the one-term recurrence,
 the summed stationary average instead of the identity it collapses to,
 one scalar walk per replication instead of walks run in lockstep.
+
+The reference routes for an arbitrary birth-death ladder live here as well:
+the nested sum/product hitting time, the structured tridiagonal solve, the
+truncated product-form stationary law, the Gamma waiting-time density and
+the bare occupancy jump chain. The package computes each of these
+quantities one way only; these are the second ways.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from ambuq import derive, gamma_wait_density, queue_conditional_pmf
-from ambuq.simulate import _Draws, _stream
+from ambuq import NoSteadyStateError, ParameterError, derive, queue_conditional_pmf
+from ambuq.params import as_int, as_real, require_steady_state
+from ambuq.simulate import (
+    N_BATCHES,
+    _Batch,
+    _Draws,
+    _occupancy_estimates,
+    _split,
+    _stream,
+)
+
+
+class UnreachableTargetError(ValueError):
+    """A first-passage target cannot be reached because an upward rate vanishes."""
+
+
+@dataclass(frozen=True)
+class RateLadder:
+    """Nearest-neighbour transition rates of the occupancy walk.
+
+    ``up(n)`` is defined for states n >= 0 and ``down(n)`` for n >= 1; state 0
+    is a reflecting boundary. Rates are evaluated on demand from the callables,
+    so the ladder is exact for arbitrarily large states.
+    """
+
+    up: Callable[[int], float]
+    down: Callable[[int], float]
+
+    @classmethod
+    def for_fleet(cls, params):
+        """Ladder of the M-server queue: constant arrivals, service rate
+        proportional to busy servers and capped at the fleet size."""
+        lam = params.arrival_rate
+        mu = params.service_rate
+        m = params.servers
+        return cls(up=lambda n: lam, down=lambda n: mu * min(n, m))
+
+
+def _time_from_origin(ladder, boundary):
+    # Mean hitting time of `boundary` from 0 with a reflecting origin:
+    #   sum_{k<boundary} 1/up(k)
+    #   + sum_{k<boundary-1} (1/up(k)) * sum_{i=k+1}^{boundary-1} prod_{j=k+1}^{i} down(j)/up(j)
+    # k outer ascending, i inner ascending, product extended incrementally in i,
+    # so intermediates stay representable whenever the result itself is.
+    total = 0.0
+    for k in range(boundary):
+        up_k = ladder.up(k)
+        if not up_k > 0.0:
+            raise UnreachableTargetError(
+                f"upward rate vanishes at state {k}; states above are unreachable"
+            )
+        total += 1.0 / up_k
+    for k in range(boundary - 1):
+        prod = 1.0
+        inner = 0.0
+        for i in range(k + 1, boundary):
+            prod *= ladder.down(i) / ladder.up(i)
+            inner += prod
+        total += inner / ladder.up(k)
+    return total
+
+
+def mfpt_general(ladder, start, target):
+    """Mean time for the walk to first reach ``target`` from ``start``,
+    from the nested sum/product expression of an arbitrary ladder.
+
+    Requires 0 <= start < target. Raises UnreachableTargetError if any
+    upward rate below the target vanishes (the reflecting walk revisits
+    low states, so those rates all matter).
+    """
+    start = as_int(start, "start", minimum=0)
+    target = as_int(target, "target")
+    if target <= start:
+        raise ParameterError(f"need 0 <= start < target, got start={start}, target={target}")
+    # Hitting times on a line are additive: time(start -> target) equals
+    # time(0 -> target) minus time(0 -> start).
+    return _time_from_origin(ladder, target) - _time_from_origin(ladder, start)
+
+
+def mfpt_linear_solve(ladder, target):
+    """Hitting times of ``target`` from every start 0..target-1, solved directly.
+
+    The hitting times satisfy the tridiagonal balance
+    (up_n + down_n) T(n) - up_n T(n+1) - down_n T(n-1) = 1 with a reflecting
+    origin and T(target) = 0. Forward elimination of the subdiagonal starting
+    at the reflecting row reduces row n to T(n) = T(n+1) + h(n) with strictly
+    positive fill-in, so no pivoting or cancellation occurs and the solve
+    stays componentwise accurate even when the times span many orders of
+    magnitude (a generic pivoted solver loses everything there, since the
+    matrix condition number is of the order of the solution itself).
+    """
+    target = as_int(target, "target", minimum=1)
+    offsets = [0.0] * target
+    for n in range(target):
+        up = ladder.up(n)
+        if not up > 0.0:
+            raise UnreachableTargetError(
+                f"upward rate vanishes at state {n}; the system is not solvable"
+            )
+        if n == 0:
+            offsets[0] = 1.0 / up
+        else:
+            offsets[n] = (1.0 + ladder.down(n) * offsets[n - 1]) / up
+    times = [0.0] * target
+    times[target - 1] = offsets[target - 1]
+    for n in range(target - 2, -1, -1):
+        times[n] = times[n + 1] + offsets[n]
+    return times
+
+
+def stationary_general(ladder, truncation):
+    """Product-form stationary law of an arbitrary ladder on [0, truncation].
+
+    The caller picks the truncation so the neglected tail mass is below
+    1e-12; this is checked here with the geometric bound taken at the
+    truncation point and is feasible only for ladders whose tail weight
+    ratio stays below 1.
+    """
+    truncation = as_int(truncation, "truncation", minimum=0)
+    weights = [1.0]
+    for n in range(1, truncation + 1):
+        down = ladder.down(n)
+        if not down > 0.0:
+            raise ParameterError(f"downward rate must be positive at state {n}, got {down!r}")
+        weights.append(weights[-1] * ladder.up(n - 1) / down)
+    total = 0.0
+    for w in weights:
+        total += w
+    down_next = ladder.down(truncation + 1)
+    if not down_next > 0.0:
+        raise ParameterError(
+            f"downward rate must be positive at state {truncation + 1}, got {down_next!r}"
+        )
+    ratio = ladder.up(truncation) / down_next
+    if ratio >= 1.0:
+        raise NoSteadyStateError(
+            ratio,
+            f"stationary weights diverge: tail weight ratio {ratio:.6g} >= 1 "
+            f"at state {truncation}",
+        )
+    tail_bound = weights[-1] * ratio / (1.0 - ratio)
+    if tail_bound > 1e-12 * total:
+        raise ParameterError(
+            f"truncation {truncation} too small: geometric tail bound "
+            f"{tail_bound / total:.3g} of total mass exceeds 1e-12"
+        )
+    return [w / total for w in weights]
+
+
+def suggested_truncation(params, tail_mass=1e-12):
+    """Truncation for stationary_general leaving under ``tail_mass`` behind."""
+    d = require_steady_state(params)
+    if not 0.0 < tail_mass < 1.0:
+        raise ParameterError(f"tail_mass must be in (0, 1), got {tail_mass!r}")
+    # Mass above N is at most rho**(N - M) relative to the head, so walk the
+    # exponent until the bound clears with a small safety margin.
+    extra = math.ceil(math.log(tail_mass) / math.log(d.rho)) + 2
+    return params.servers + max(extra, 1)
+
+
+def gamma_wait_density(t, k_ahead, params):
+    """Density of the wait given k_ahead calls already queued at arrival.
+
+    The wait is the sum of k_ahead + 1 exponential service headways at the
+    full-fleet rate M * mu, i.e. a Gamma density with integer shape. Uses a
+    log-space evaluation so large shapes stay finite.
+    """
+    k_ahead = as_int(k_ahead, "k_ahead", minimum=0)
+    t = as_real(t, "t")
+    alpha = params.servers * params.service_rate
+    if t == 0.0:
+        return alpha if k_ahead == 0 else 0.0
+    x = alpha * t
+    return alpha * math.exp(k_ahead * math.log(x) - x - math.lgamma(k_ahead + 1))
+
+
+def _run_jump_replication(params, config, rep):
+    m = params.servers
+    lam = params.arrival_rate
+    mu = params.service_rate
+    warmup = config.warmup
+    horizon = config.horizon
+    batch_len = (horizon - warmup) / N_BATCHES
+    batches = [_Batch(batch_len, 0) for _ in range(N_BATCHES)]
+    draws = _Draws(_stream(config.seed, rep))
+
+    t = 0.0
+    n = config.start_state
+    while t < horizon:
+        down = mu * (n if n < m else m) if n >= 1 else 0.0
+        total = lam + down
+        t_next = t + draws.exponential() / total
+        t_stop = t_next if t_next < horizon else horizon
+        for b, seg in _split(t, t_stop, warmup, horizon, batch_len):
+            batch = batches[b]
+            batch.occ[n] = batch.occ.get(n, 0.0) + seg
+            if n >= m:
+                batch.occup_time += seg
+                batch.queue_area += (n - m) * seg
+        t = t_next
+        if t >= horizon:
+            break
+        if draws.uniform() * total < lam:
+            n += 1
+        else:
+            n -= 1
+    return batches
+
+
+def simulate_jump_occupancy(params, config):
+    """Occupancy estimates from the bare jump chain, for cross-validation
+    against the FCFS system (same estimator, same batching)."""
+    cfg = config.resolved(params)
+    batches = []
+    for rep in range(cfg.replications):
+        batches.extend(_run_jump_replication(params, cfg, rep))
+    estimates = _occupancy_estimates(batches, params.servers, cfg.seed)
+    return {name: est for name, est in estimates.items() if est is not None}
 
 
 def hitting_times_dense(ladder, target):

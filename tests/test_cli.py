@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -193,6 +194,33 @@ def test_size_requires_exactly_one_goal(tmp_path):
     ) == 2
 
 
+def test_analyze_stationary_csv_at_large_offered_load(tmp_path):
+    # offered load 1000: unscaled weights a^n / n! exceed the float range near the mode
+    code = run(
+        "analyze", "--t-call", 1, "--t-service", 1000, "--servers", 1100,
+        "--stationary-csv", "--out-dir", tmp_path,
+    )
+    assert code == 0
+    lines = (tmp_path / "stationary_M1100.csv").read_text().splitlines()
+    assert lines[0] == STATIONARY_CSV_HEADER and len(lines) == 1320
+    values = [float(line.split(",")[1]) for line in lines[1:]]
+    assert all(math.isfinite(v) for v in values)
+    assert sum(values) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stationary_csv_row_cap(tmp_path, capsys, time_limit):
+    # rho = 1 - 1e-6 would need about 2e7 rows to reach the 1e-9 tail
+    out_dir = tmp_path / "out"
+    with time_limit(10):
+        code = run(
+            "analyze", "--t-call", 1, "--t-service", 1.999998, "--servers", 2,
+            "--stationary-csv", "--out-dir", out_dir,
+        )
+    assert code == 2
+    assert "rows" in capsys.readouterr().err
+    assert written(out_dir) == []
+
+
 SIM_ARGS = (
     "simulate", "--t-call", 15, "--t-service", 50, "--servers", 6,
     "--seed", 42, "--warmup", 1000, "--horizon-min", 101000,
@@ -216,6 +244,39 @@ def test_simulate_worker_count_does_not_change_output(tmp_path):
     assert run(*SIM_ARGS, "--replications", 2, "--workers", 1, "--out-dir", out_a) == 0
     assert run(*SIM_ARGS, "--replications", 2, "--workers", 3, "--out-dir", out_b) == 0
     assert (out_a / "sim.json").read_bytes() == (out_b / "sim.json").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+def test_worker_count_below_one_is_refused(tmp_path, capsys, workers):
+    out_dir = tmp_path / "out"
+    code = run(*SIM_ARGS, "--workers", workers, "--out-dir", out_dir)
+    assert code == 2
+    assert "workers" in capsys.readouterr().err
+    assert written(out_dir) == []
+
+
+def test_simulate_real_valued_window_finishes(tmp_path, time_limit):
+    # a batch edge of this window once stalled the occupancy accounting
+    with time_limit(10):
+        code = run(
+            "simulate", *BASE, "--servers", 6, "--seed", 1, "--warmup", 1000.1,
+            "--horizon-min", 20000.3, "--out-dir", tmp_path,
+        )
+    assert code == 0
+    payload = json.loads((tmp_path / "sim.json").read_text())
+    assert payload["n_samples"]["p_occup"] == 20
+
+
+def test_hitting_run_over_the_step_budget_exits_2(tmp_path, capsys, time_limit):
+    out_dir = tmp_path / "out"
+    with time_limit(10):
+        code = run(
+            "simulate", "--mode", "hitting", *BASE, "--servers", 20, "--seed", 1,
+            "--replications", 1, "--out-dir", out_dir,
+        )
+    assert code == 2
+    assert "steps" in capsys.readouterr().err
+    assert written(out_dir) == []
 
 
 def test_simulate_strict_needs_seed(tmp_path):
@@ -338,7 +399,8 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, config):
     elif config is not None:
         argv = (*argv, "--config", config_file(tmp_path, **config))
     assert run(*argv, "--out-dir", out_dir) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing is reported as done when a write then fails
     assert err.startswith("error: ")
     assert written(out_dir) == []
     if config == OUT_DIR_IS_A_FILE:

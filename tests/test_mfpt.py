@@ -2,19 +2,16 @@ import math
 
 import pytest
 
-from ambuq import (
-    ParameterError,
-    RateLadder,
-    SystemParams,
-    UnreachableTargetError,
-    mfpt_critical_profile,
-    mfpt_general,
-    mfpt_linear_solve,
-    mfpt_sweep,
-)
+from ambuq import ParameterError, SystemParams, mfpt_critical_profile, mfpt_sweep
 from ambuq.cli import SWEEP_CSV_HEADER, write_sweep_csv
 
-from oracles import hitting_times_dense
+from oracles import (
+    RateLadder,
+    UnreachableTargetError,
+    hitting_times_dense,
+    mfpt_general,
+    mfpt_linear_solve,
+)
 
 
 def single_server(t_call, gamma):

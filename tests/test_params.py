@@ -2,31 +2,26 @@ import math
 
 import pytest
 
-from ambuq import (
-    ParameterError,
-    RateLadder,
-    SystemParams,
-    build_params,
-    derive,
-    rate_at,
-)
+from ambuq import ParameterError, SystemParams, derive
 from ambuq.params import as_int, as_real
+
+from oracles import RateLadder
 
 
 def test_reference_scenario_ratios():
-    _, d = build_params(15, 50, 6)
+    d = derive(SystemParams(15, 50, 6))
     assert d.gamma == pytest.approx(0.3, abs=1e-12)
     assert d.rho == pytest.approx(5 / 9, abs=1e-12)
     assert d.offered_load == pytest.approx(10 / 3, abs=1e-12)
 
 
 def test_identity_rates():
-    _, d = build_params(1, 1, 1)
+    d = derive(SystemParams(1, 1, 1))
     assert (d.gamma, d.rho, d.offered_load) == (1.0, 1.0, 1.0)
 
 
 def test_four_server_intensity():
-    _, d = build_params(15, 50, 4)
+    d = derive(SystemParams(15, 50, 4))
     assert d.rho == pytest.approx(0.8333, abs=5e-5)
 
 
@@ -34,13 +29,13 @@ def test_four_server_intensity():
 @pytest.mark.parametrize("t_service", [1, 12.3, 50])
 @pytest.mark.parametrize("servers", [1, 4, 9])
 def test_ratio_product_identity(t_call, t_service, servers):
-    _, d = build_params(t_call, t_service, servers)
+    d = derive(SystemParams(t_call, t_service, servers))
     assert abs(d.rho * servers * d.gamma - 1.0) < 1e-12
 
 
 def test_overload_is_representable():
-    params, d = build_params(15, 50, 3)
-    assert d.rho > 1.0
+    params = SystemParams(15, 50, 3)
+    assert derive(params).rho > 1.0
     assert params.servers == 3
 
 
@@ -48,13 +43,13 @@ def test_stability_iff_offered_load_below_servers():
     for t_call, t_service, servers in [
         (15, 50, 3), (15, 50, 4), (25, 50, 2), (25, 50, 3), (1, 1, 1), (10, 9.99, 1),
     ]:
-        _, d = build_params(t_call, t_service, servers)
+        d = derive(SystemParams(t_call, t_service, servers))
         assert (d.rho < 1.0) == (d.offered_load < servers)
 
 
 def test_rate_roundtrip_from_rates():
-    params, _ = build_params(17.3, 42.0, 5)
-    rebuilt, _ = build_params(1.0 / params.arrival_rate, 1.0 / params.service_rate, 5)
+    params = SystemParams(17.3, 42.0, 5)
+    rebuilt = SystemParams(1.0 / params.arrival_rate, 1.0 / params.service_rate, 5)
     assert rebuilt.t_call == pytest.approx(17.3, rel=1e-12)
     assert rebuilt.t_service == pytest.approx(42.0, rel=1e-12)
 
@@ -62,9 +57,9 @@ def test_rate_roundtrip_from_rates():
 def test_down_rate_ladder():
     params = SystemParams(t_call=15, t_service=50, servers=6)
     ladder = RateLadder.for_fleet(params)
-    assert rate_at(ladder, 3, "down") == pytest.approx(0.06)
-    assert rate_at(ladder, 9, "down") == pytest.approx(0.12)  # capped at fleet size
-    assert rate_at(ladder, 100, "up") == pytest.approx(1 / 15)
+    assert ladder.down(3) == pytest.approx(0.06)
+    assert ladder.down(9) == pytest.approx(0.12)  # capped at fleet size
+    assert ladder.up(100) == pytest.approx(1 / 15)
 
 
 def test_down_rate_matches_min_rule_up_to_three_fleets():
@@ -72,21 +67,7 @@ def test_down_rate_matches_min_rule_up_to_three_fleets():
     ladder = RateLadder.for_fleet(params)
     mu = params.service_rate
     for n in range(1, 3 * params.servers + 1):
-        assert rate_at(ladder, n, "down") == pytest.approx(mu * min(n, 5), rel=1e-15)
-
-
-def test_down_rate_undefined_at_origin():
-    ladder = RateLadder.for_fleet(SystemParams(t_call=15, t_service=50, servers=6))
-    with pytest.raises(ParameterError):
-        rate_at(ladder, 0, "down")
-
-
-def test_bad_direction_rejected():
-    ladder = RateLadder.for_fleet(SystemParams(t_call=15, t_service=50, servers=6))
-    with pytest.raises(ParameterError):
-        rate_at(ladder, 1, "sideways")
-    with pytest.raises(ParameterError):
-        rate_at(ladder, -1, "up")
+        assert ladder.down(n) == pytest.approx(mu * min(n, 5), rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -118,7 +99,7 @@ def test_integral_float_server_count_accepted():
 
 
 def test_derived_rates_positive_and_finite():
-    params, _ = build_params(15, 50, 6)
+    params = SystemParams(15, 50, 6)
     assert 0 < params.arrival_rate < math.inf
     assert 0 < params.service_rate < math.inf
     assert derive(params).rho == pytest.approx(params.arrival_rate / (6 * params.service_rate))

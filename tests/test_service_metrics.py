@@ -11,7 +11,6 @@ from ambuq import (
     cost_rate,
     derive,
     full_report,
-    gamma_wait_density,
     level_of_service,
     mean_wait,
     p_occupation,
@@ -21,7 +20,7 @@ from ambuq import (
     wait_density,
 )
 
-from oracles import busy_fraction_summed, wait_mixture_density
+from oracles import busy_fraction_summed, gamma_wait_density, wait_mixture_density
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
 

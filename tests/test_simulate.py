@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,12 +14,11 @@ from ambuq import (
     queue_conditional_pmf,
     queue_stats,
     simulate_hitting_time,
-    simulate_jump_occupancy,
     simulate_stationary,
     stationary_profile,
 )
-from ambuq.simulate import HITTING_BLOCK, _hitting_times
-from oracles import hitting_times_scalar
+from ambuq.simulate import HITTING_BLOCK, MAX_HITTING_STEPS, N_BATCHES, _hitting_times, _split
+from oracles import hitting_times_scalar, simulate_jump_occupancy
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
 SHORT = SimConfig(seed=11, replications=1, warmup=2500.0, horizon=202500.0)
@@ -49,17 +49,6 @@ def test_config_normalises_integral_floats():
     assert (config.seed, config.replications, config.start_state) == (3, 2, 1)
     assert all(type(v) is int for v in (config.seed, config.replications, config.start_state))
     assert (config.warmup, config.horizon) == (10.0, 20.0)
-
-
-@pytest.mark.parametrize("workers", [0, -1, 1.5, True])
-def test_worker_count_below_one_is_refused(workers):
-    config = SimConfig(seed=1, replications=2, warmup=10.0, horizon=20.0)
-    with pytest.raises(ParameterError, match="workers"):
-        simulate_hitting_time(REFERENCE, 0, config, workers=workers)
-    with pytest.raises(ParameterError, match="workers"):
-        simulate_stationary(REFERENCE, config, workers=workers)
-    with pytest.raises(ParameterError, match="workers"):
-        simulate_jump_occupancy(REFERENCE, config, workers=workers)
 
 
 def test_config_default_resolution():
@@ -94,9 +83,7 @@ def test_hitting_time_deterministic_across_runs_and_workers():
     cfg = SimConfig(seed=5, replications=500)
     first = simulate_hitting_time(REFERENCE, 0, cfg)
     second = simulate_hitting_time(REFERENCE, 0, cfg)
-    parallel = simulate_hitting_time(REFERENCE, 0, cfg, workers=4)
-    pair = simulate_hitting_time(REFERENCE, 0, cfg, workers=2)
-    assert first == second == parallel == pair
+    assert first == second
     other = simulate_hitting_time(REFERENCE, 0, SimConfig(seed=6, replications=500))
     assert other.value != first.value
 
@@ -125,6 +112,33 @@ def test_hitting_blocks_are_fixed():
     assert HITTING_BLOCK == 1024
     assert np.array_equal(longer[:HITTING_BLOCK], full)
     assert not np.array_equal(_hitting_times(*args, HITTING_BLOCK - 1), full[:-1])
+
+
+def test_hitting_run_over_the_step_budget_is_refused(time_limit):
+    # T(0) is about 4.3e10 minutes at M = 20, some 2e10 steps of one walk
+    params = SystemParams(t_call=15, t_service=50, servers=20)
+    # the budget counts every replication
+    fleet = SystemParams(t_call=16, t_service=50, servers=6)
+    per_walk = mfpt_critical_profile(fleet).times[0] * (1 / 16 + 6 / 50)
+    too_many = math.ceil(MAX_HITTING_STEPS / per_walk) + 1
+    with time_limit(10):
+        with pytest.raises(ParameterError, match="steps"):
+            simulate_hitting_time(params, 0, SimConfig(seed=1, replications=1))
+        with pytest.raises(ParameterError, match="steps"):
+            simulate_hitting_time(fleet, 0, SimConfig(seed=1, replications=too_many))
+
+
+def test_split_steps_past_rounded_batch_edges():
+    # with this real-valued window a batch edge recomputed from the previous
+    # cut rounds down to the batch before it, which once stalled the split
+    warmup, horizon = 1000.1, 20000.3
+    batch_len = (horizon - warmup) / N_BATCHES
+    pieces = list(
+        itertools.islice(_split(0.0, horizon, warmup, horizon, batch_len), N_BATCHES + 1)
+    )
+    assert [b for b, _ in pieces] == list(range(N_BATCHES))
+    assert all(seg > 0.0 for _, seg in pieces)
+    assert sum(seg for _, seg in pieces) == pytest.approx(horizon - warmup, rel=1e-15)
 
 
 def test_stationary_estimates_match_analytics():
@@ -163,17 +177,16 @@ def test_stationary_batches_and_servers():
 def test_stationary_deterministic_across_workers():
     base = simulate_stationary(REFERENCE, SHORT, t_los=30.0)
     again = simulate_stationary(REFERENCE, SHORT, t_los=30.0)
-    threaded = simulate_stationary(REFERENCE, SHORT, t_los=30.0, workers=3)
-    assert base.estimates == again.estimates == threaded.estimates
-    assert base.per_server_busy == threaded.per_server_busy
+    assert base.estimates == again.estimates
+    assert base.per_server_busy == again.per_server_busy
 
 
 def test_stationary_multi_replication_merge():
     cfg = SimConfig(seed=19, replications=3, warmup=1000.0, horizon=51000.0)
     result = simulate_stationary(REFERENCE, cfg, t_los=30.0)
     assert result.estimates["p_occup"].n_samples == 60
-    threaded = simulate_stationary(REFERENCE, cfg, t_los=30.0, workers=2)
-    assert result.estimates == threaded.estimates
+    again = simulate_stationary(REFERENCE, cfg, t_los=30.0)
+    assert result.estimates == again.estimates
 
 
 def test_least_index_policy_shares_the_occupancy_path():
