@@ -5,6 +5,10 @@ Two simulations are available: the full FCFS multi-server system
 must agree with the analytic one, and the occupancy walk's first passage
 to saturation, whose mean must agree with the saturation time.
 
+An FCFS replication keeps one occupancy histogram per batch (time spent at
+each n) and reads every time average off it. Per-server busy time comes
+from the service spans themselves, clipped to the measurement window.
+
 Every FCFS replication owns a counter-based Philox stream keyed by (seed,
 replication index). Hitting-time walks run in lockstep, HITTING_BLOCK
 replications to a stream keyed by (seed, block index). Per-replication
@@ -20,22 +24,25 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ParameterError
 from .mfpt import mfpt_critical_profile
 from .params import SystemParams, as_int, as_real, derive
+from .steady_state import MAX_CSV_ROWS
 
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1024
 HITTING_BLOCK = 1024
 MAX_REPLICATIONS = 10**7
-# Most steps a hitting-time run may be expected to take, counted as
-# replications x T(start) x (lambda + M mu), an upper bound. A step costs
-# about 0.1 us when full blocks of walks run in lockstep, up to 100 times
-# more when only a few walks do.
+# Most steps a hitting-time run may be expected to take: T(start) x (lambda +
+# M mu) per walk, an upper bound, times the replications in whole blocks, as a
+# block costs about the same per step (20-70 us) with one walk or 1024.
 MAX_HITTING_STEPS = 10**8
+# Most events a stationary run may simulate, about 25 s at 2.4 us per event.
+MAX_FCFS_EVENTS = 10**7
 N_BATCHES = 20
 
 
@@ -98,7 +105,8 @@ class SimConfig:
             self, "replications",
             as_int(self.replications, "replications", minimum=1, maximum=MAX_REPLICATIONS),
         )
-        object.__setattr__(self, "start_state", as_int(self.start_state, "start_state", minimum=0))
+        start_state = as_int(self.start_state, "start_state", minimum=0, maximum=MAX_FCFS_EVENTS)
+        object.__setattr__(self, "start_state", start_state)
         if self.warmup is not None:
             object.__setattr__(self, "warmup", as_real(self.warmup, "warmup"))
         if self.horizon is not None:
@@ -110,13 +118,10 @@ class SimConfig:
 
     def resolved(self, params: SystemParams) -> "SimConfig":
         """Fill defaulted warmup/horizon from the system's time scales."""
-        warmup = self.warmup
-        if warmup is None:
-            warmup = 50.0 * max(params.t_call, params.t_service)
-        horizon = self.horizon
-        if horizon is None:
-            horizon = warmup + 5000.0 * params.t_call
-        if horizon <= warmup:
+        warmup = 50.0 * max(params.t_call, params.t_service) if self.warmup is None else self.warmup
+        horizon = warmup + 5000.0 * params.t_call if self.horizon is None else self.horizon
+        # a window too short to cut into N_BATCHES floats is refused as well
+        if not (horizon - warmup) / N_BATCHES > 0.0:
             raise ParameterError(f"horizon must exceed warmup, got horizon={horizon!r} warmup={warmup!r}")
         return replace(self, warmup=warmup, horizon=horizon)
 
@@ -187,42 +192,31 @@ def simulate_hitting_time(
             f"start_state must be an integer in [0, {m}] (below the saturation target), "
             f"got {start_state!r}"
         )
-    steps = (
-        config.replications
-        * mfpt_critical_profile(params).times[start_state]
-        * (params.arrival_rate + m * params.service_rate)
+    walks = math.ceil(config.replications / HITTING_BLOCK) * HITTING_BLOCK
+    steps = walks * mfpt_critical_profile(params).times[start_state] * (
+        params.arrival_rate + m * params.service_rate
     )
     if not steps <= MAX_HITTING_STEPS:
         raise ParameterError(
             f"hitting-time run from state {start_state} would take about {steps:.3g} steps "
-            f"(replications x T(start) x (lambda + M mu)), more than {MAX_HITTING_STEPS:.0e}"
+            f"({walks} walks, whole blocks, x T(start) x (lambda + M mu)), "
+            f"more than {MAX_HITTING_STEPS:.0e}"
         )
     times = _hitting_times(
         params.arrival_rate, params.service_rate, start_state, m + 1,
         config.seed, config.replications,
     )
-    value = float(times.mean())
-    if config.replications > 1:
-        std_error = float(times.std(ddof=1) / math.sqrt(config.replications))
-    else:
-        std_error = 0.0
-    return SimEstimate(value=value, std_error=std_error, n_samples=config.replications, seed=config.seed)
+    return _estimate(times, config.seed)
 
 
 class _Batch:
-    """Accumulators for one batch window of one replication."""
+    """Accumulators for one batch window of one replication; ``occ`` maps
+    each occupancy n to the time spent there."""
 
-    __slots__ = (
-        "duration", "occ", "occup_time", "queue_area", "busy",
-        "completions", "wait_count", "wait_sum", "wait_below",
-    )
+    __slots__ = ("occ", "completions", "wait_count", "wait_sum", "wait_below")
 
-    def __init__(self, duration: float, servers: int):
-        self.duration = duration
+    def __init__(self):
         self.occ: dict[int, float] = {}
-        self.occup_time = 0.0
-        self.queue_area = 0.0
-        self.busy = [0.0] * servers
         self.completions = 0
         self.wait_count = 0
         self.wait_sum = 0.0
@@ -265,49 +259,38 @@ def _run_fcfs_replication(
     t_los: float,
     assignment: str,
     collect_waits: bool,
-) -> tuple[list[_Batch], list[tuple[int, float]]]:
+) -> tuple[list[_Batch], list[float], list[tuple[int, float]]]:
     m = params.servers
     lam = params.arrival_rate
     mu = params.service_rate
     warmup = config.warmup
     horizon = config.horizon
     batch_len = (horizon - warmup) / N_BATCHES
-    batches = [_Batch(batch_len, m) for _ in range(N_BATCHES)]
+    batches = [_Batch() for _ in range(N_BATCHES)]
     draws = _Draws(_stream(config.seed, rep))
 
     idle = list(range(m))
-    busy_since = [0.0] * m
+    busy = [0.0] * m
     departures: list[tuple[float, int]] = []  # heap of (time, server)
     queue: deque[tuple[float, int]] = deque()  # (arrival time, call index)
     waits: list[tuple[int, float]] = []
-    n = 0
+    n = config.start_state
     call_index = 0
+
+    def serve(server: int, start: float) -> None:
+        end = start + draws.exponential() / mu
+        heapq.heappush(departures, (end, server))
+        span = (end if end < horizon else horizon) - (start if start > warmup else warmup)
+        if span > 0.0:
+            busy[server] += span
 
     # Seed the initial state: start_state calls present at t=0, the first
     # min(start_state, m) already in service on the low-index servers.
-    for _ in range(min(config.start_state, m)):
-        server = idle.pop(0)
-        busy_since[server] = 0.0
-        heapq.heappush(departures, (draws.exponential() / mu, server))
-        n += 1
-    for _ in range(config.start_state - m):
-        queue.append((0.0, -1))
-        n += 1
+    for _ in range(min(n, m)):
+        serve(idle.pop(0), 0.0)
+    queue.extend(repeat((0.0, -1), n - m))
 
     next_arrival = draws.exponential() / lam
-
-    def record_queue_wait(arrival: float, wait: float, index: int) -> None:
-        # only calls that arrived under full occupation count toward the
-        # conditional wait statistics; immediate dispatches wait zero and
-        # appear only in the raw per-call log
-        if arrival >= warmup:
-            batch = batches[_batch_index(arrival, warmup, batch_len)]
-            batch.wait_count += 1
-            batch.wait_sum += wait
-            if wait < t_los:
-                batch.wait_below += 1
-        if collect_waits and index >= 0:
-            waits.append((index, wait))
 
     t = 0.0
     while True:
@@ -316,11 +299,8 @@ def _run_fcfs_replication(
         t_event = t_next if t_next < horizon else horizon
         if t_event > t:
             for b, seg in _split(t, t_event, warmup, horizon, batch_len):
-                batch = batches[b]
-                batch.occ[n] = batch.occ.get(n, 0.0) + seg
-                if n >= m:
-                    batch.occup_time += seg
-                    batch.queue_area += (n - m) * seg
+                occ = batches[b].occ
+                occ[n] = occ.get(n, 0.0) + seg
         if t_next >= horizon:
             break
         t = t_next
@@ -343,8 +323,7 @@ def _run_fcfs_replication(
                 else:
                     server = min(idle)
                     idle.remove(server)
-                busy_since[server] = t
-                heapq.heappush(departures, (t + draws.exponential() / mu, server))
+                serve(server, t)
                 if collect_waits and index >= 0:
                     waits.append((index, 0.0))
             else:
@@ -358,24 +337,27 @@ def _run_fcfs_replication(
                 batches[_batch_index(t, warmup, batch_len)].completions += 1
             if queue:
                 arrival, index = queue.popleft()
-                record_queue_wait(arrival, t - arrival, index)
-                heapq.heappush(departures, (t + draws.exponential() / mu, server))
+                wait = t - arrival
+                # only queued calls count toward the conditional wait statistics;
+                # immediate dispatches wait zero and appear only in the call log
+                if arrival >= warmup:
+                    batch = batches[_batch_index(arrival, warmup, batch_len)]
+                    batch.wait_count += 1
+                    batch.wait_sum += wait
+                    if wait < t_los:
+                        batch.wait_below += 1
+                if collect_waits and index >= 0:
+                    waits.append((index, wait))
+                serve(server, t)
             else:
-                for b, seg in _split(busy_since[server], t, warmup, horizon, batch_len):
-                    batches[b].busy[server] += seg
                 idle.append(server)
 
-    # close out busy spans still open at the horizon
-    for _, server in departures:
-        for b, seg in _split(busy_since[server], horizon, warmup, horizon, batch_len):
-            batches[b].busy[server] += seg
-
     waits.sort()
-    return batches, waits
+    return batches, busy, waits
 
 
-def _estimate(values: list[float], seed: int) -> SimEstimate | None:
-    if not values:
+def _estimate(values, seed: int) -> SimEstimate | None:
+    if len(values) == 0:
         return None
     arr = np.array(values, dtype=float)
     value = float(arr.mean())
@@ -384,14 +366,29 @@ def _estimate(values: list[float], seed: int) -> SimEstimate | None:
 
 
 def _occupancy_estimates(
-    batches: list[_Batch], servers: int, seed: int
-) -> dict[str, SimEstimate]:
-    estimates = {}
-    for n in range(servers + 5 + 1):
-        vals = [b.occ.get(n, 0.0) / b.duration for b in batches]
-        estimates[f"pi_{n}"] = _estimate(vals, seed)
-    estimates["p_occup"] = _estimate([b.occup_time / b.duration for b in batches], seed)
-    return estimates
+    batches: list[_Batch], servers: int, batch_len: float, seed: int
+) -> tuple[dict[str, SimEstimate | None], tuple[float, ...]]:
+    """Estimates of pi_n, p_occup, cond_queue_k, mean_queue_len_conditional
+    and p_busy_per_server (None where no batch counts), and the batch mean
+    queue lengths, all read off ``occ``: FCFS keeps min(n, M) servers busy."""
+    m = servers
+    occup = [sum(t for n, t in b.occ.items() if n >= m) for b in batches]
+    queue_area = [sum((n - m) * t for n, t in b.occ.items() if n > m) for b in batches]
+    estimates = {
+        f"pi_{n}": _estimate([b.occ.get(n, 0.0) / batch_len for b in batches], seed)
+        for n in range(m + 5 + 1)
+    }
+    estimates["p_occup"] = _estimate([t / batch_len for t in occup], seed)
+    occupied = [(b.occ, t, q) for b, t, q in zip(batches, occup, queue_area) if t > 0.0]
+    for k in range(10 + 1):
+        estimates[f"cond_queue_{k}"] = _estimate(
+            [occ.get(m + k, 0.0) / t for occ, t, _ in occupied], seed
+        )
+    estimates["mean_queue_len_conditional"] = _estimate([q / t for _, t, q in occupied], seed)
+    estimates["p_busy_per_server"] = _estimate(
+        [sum(min(n, m) * t for n, t in b.occ.items()) / (m * batch_len) for b in batches], seed
+    )
+    return estimates, tuple(q / batch_len for q in queue_area)
 
 
 @dataclass(frozen=True)
@@ -428,11 +425,27 @@ def simulate_stationary(
     Standard errors come from batch means over 20 equal post-warmup windows
     per replication. If rho >= 1 the run proceeds anyway with a warning;
     the estimates then describe a growing transient, not a steady state.
+
+    A run is refused before it starts when it would simulate more than
+    MAX_FCFS_EVENTS events or log more than MAX_CSV_ROWS waits.
     """
     if assignment not in ("random", "least_index"):
         raise ParameterError(f"assignment must be 'random' or 'least_index', got {assignment!r}")
     t_los = as_real(t_los, "t_los")
     cfg = config.resolved(params)
+    m = params.servers
+    lam = params.arrival_rate
+    rate = lam + min(lam, m * params.service_rate)
+    # a replication's draw block and its N_BATCHES x M occupancy bins count
+    # as events too, so many short replications or a huge fleet are refused
+    events = cfg.replications * (cfg.start_state + cfg.horizon * rate + _DRAW_BLOCK + N_BATCHES * m)
+    if not events <= MAX_FCFS_EVENTS:
+        raise ParameterError(
+            f"stationary run would simulate about {events:.3g} events, more than {MAX_FCFS_EVENTS:.0e}"
+        )
+    rows = cfg.replications * (cfg.horizon - cfg.warmup) * lam
+    if collect_waits and not rows <= MAX_CSV_ROWS:
+        raise ParameterError(f"wait log would hold about {rows:.3g} rows, more than {MAX_CSV_ROWS}")
     rho = derive(params).rho
     if rho >= 1.0:
         warnings.warn(
@@ -442,28 +455,19 @@ def simulate_stationary(
         )
 
     batches: list[_Batch] = []
-    merged_waits: list[tuple[int, float]] = []
+    per_server = [0.0] * m
+    merged_waits: list[float] = []
     for rep in range(cfg.replications):
-        rep_batches, rep_waits = _run_fcfs_replication(
+        rep_batches, rep_busy, rep_waits = _run_fcfs_replication(
             params, cfg, rep, t_los, assignment, collect_waits
         )
         batches.extend(rep_batches)
-        for _, wait in rep_waits:
-            merged_waits.append((len(merged_waits), wait))
+        per_server = [a + b for a, b in zip(per_server, rep_busy)]
+        merged_waits.extend(wait for _, wait in rep_waits)
 
-    m = params.servers
-    estimates = _occupancy_estimates(batches, m, cfg.seed)
-    occupied = [b for b in batches if b.occup_time > 0.0]
-    for k in range(10 + 1):
-        vals = [b.occ.get(m + k, 0.0) / b.occup_time for b in occupied]
-        estimates[f"cond_queue_{k}"] = _estimate(vals, cfg.seed)
-    estimates["mean_queue_len_conditional"] = _estimate(
-        [b.queue_area / b.occup_time for b in occupied], cfg.seed
-    )
-    estimates["p_busy_per_server"] = _estimate(
-        [sum(b.busy) / (m * b.duration) for b in batches], cfg.seed
-    )
-    estimates["throughput"] = _estimate([b.completions / b.duration for b in batches], cfg.seed)
+    batch_len = (cfg.horizon - cfg.warmup) / N_BATCHES
+    estimates, batch_queue_means = _occupancy_estimates(batches, m, batch_len, cfg.seed)
+    estimates["throughput"] = _estimate([b.completions / batch_len for b in batches], cfg.seed)
     waited = [b for b in batches if b.wait_count > 0]
     estimates["wait_mean_conditional"] = _estimate(
         [b.wait_sum / b.wait_count for b in waited], cfg.seed
@@ -471,16 +475,10 @@ def simulate_stationary(
     estimates["wait_cdf_at_t_los"] = _estimate(
         [b.wait_below / b.wait_count for b in waited], cfg.seed
     )
-    estimates = {name: est for name, est in estimates.items() if est is not None}
-
-    total_time = sum(b.duration for b in batches)
-    per_server = tuple(
-        sum(b.busy[s] for b in batches) / total_time for s in range(m)
-    )
-    batch_queue_means = tuple(b.queue_area / b.duration for b in batches)
+    total_time = len(batches) * batch_len
     return StationaryResult(
-        estimates=estimates,
-        per_server_busy=per_server,
+        estimates={name: est for name, est in estimates.items() if est is not None},
+        per_server_busy=tuple(busy / total_time for busy in per_server),
         batch_queue_means=batch_queue_means,
-        waits=tuple(merged_waits) if collect_waits else None,
+        waits=tuple(enumerate(merged_waits)) if collect_waits else None,
     )

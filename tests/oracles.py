@@ -204,7 +204,7 @@ def _run_jump_replication(params, config, rep):
     warmup = config.warmup
     horizon = config.horizon
     batch_len = (horizon - warmup) / N_BATCHES
-    batches = [_Batch(batch_len, 0) for _ in range(N_BATCHES)]
+    batches = [_Batch() for _ in range(N_BATCHES)]
     draws = _Draws(_stream(config.seed, rep))
 
     t = 0.0
@@ -215,11 +215,8 @@ def _run_jump_replication(params, config, rep):
         t_next = t + draws.exponential() / total
         t_stop = t_next if t_next < horizon else horizon
         for b, seg in _split(t, t_stop, warmup, horizon, batch_len):
-            batch = batches[b]
-            batch.occ[n] = batch.occ.get(n, 0.0) + seg
-            if n >= m:
-                batch.occup_time += seg
-                batch.queue_area += (n - m) * seg
+            occ = batches[b].occ
+            occ[n] = occ.get(n, 0.0) + seg
         t = t_next
         if t >= horizon:
             break
@@ -237,7 +234,8 @@ def simulate_jump_occupancy(params, config):
     batches = []
     for rep in range(cfg.replications):
         batches.extend(_run_jump_replication(params, cfg, rep))
-    estimates = _occupancy_estimates(batches, params.servers, cfg.seed)
+    batch_len = (cfg.horizon - cfg.warmup) / N_BATCHES
+    estimates, _ = _occupancy_estimates(batches, params.servers, batch_len, cfg.seed)
     return {name: est for name, est in estimates.items() if est is not None}
 
 

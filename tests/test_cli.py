@@ -279,6 +279,30 @@ def test_hitting_run_over_the_step_budget_exits_2(tmp_path, capsys, time_limit):
     assert written(out_dir) == []
 
 
+UNIT = ("--t-call", 1, "--t-service", 1, "--servers", 2, "--warmup", 0)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # about 2e12 events
+        ((*UNIT, "--horizon-min", 1e12), "events"),
+        ((*UNIT, "--horizon-min", 100, "--start-state", 10**9), "start_state"),
+        # 2e6 wait rows from 4e6 events
+        ((*UNIT, "--horizon-min", 2e6, "--wait-samples"), "rows"),
+        # one walk charged as a whole block of 1024, about 1.9e8 steps
+        (("--mode", "hitting", *BASE, "--servers", 13, "--replications", 1), "steps"),
+    ],
+)
+def test_oversized_simulation_exits_2_at_once(tmp_path, capsys, time_limit, args, message):
+    out_dir = tmp_path / "out"
+    with time_limit(1):
+        code = run("simulate", *args, "--seed", 1, "--out-dir", out_dir)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert written(out_dir) == []
+
+
 def test_simulate_strict_needs_seed(tmp_path):
     code = run(
         "simulate", *BASE, "--servers", 6, "--strict", "--warmup", 100,

@@ -1,19 +1,24 @@
-"""Property test of the CLI input contract.
+"""Property tests of the CLI input contract.
 
 Whatever `analyze`, `mfpt` or `size` are given, `main` returns 0, 2, 3 or 4
 without raising, and writes no JSON that needs NaN or Infinity to parse.
-Fleet sizes, scan caps and grids stay small so the examples run in seconds;
-`--stationary-csv` and `simulate` are left out (the stationary law still
-overflows past an offered load of about 710, and simulations are slow).
+Fleet sizes, scan caps and grids stay small so the examples run in seconds.
+
+`simulate` in both modes and `analyze --stationary-csv` either exit 0 with
+finite files or exit 2 or 3 with no file, within a few seconds each. Their
+in-budget inputs are short runs; their over-budget inputs are far over a
+budget, so that a run the budgets allow but that is slow is not generated.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ambuq.cli import main
@@ -121,3 +126,89 @@ def test_cli_exits_cleanly_and_writes_only_finite_json(argv):
         assert code in (0, 2, 3, 4)
         for path in out_dir.glob("*.json"):
             json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+@st.composite
+def run_argvs(draw):
+    """`analyze --stationary-csv`, or `simulate` in either mode: short runs
+    with real-valued windows, one value in four replaced by an extreme or
+    malformed one, and one command in four pushed far over a run budget."""
+    kind = draw(st.sampled_from(["csv", "hitting", "stationary", "stationary"]))
+    if kind == "csv":
+        return [
+            "analyze",
+            "--stationary-csv",
+            f"--t-call={draw(real_text(0.01, 100.0))}",
+            f"--t-service={draw(real_text(0.01, 1000.0))}",
+            f"--servers={draw(fleets())}",
+        ]
+    t_call = draw(st.floats(1.0, 50.0))
+    servers = draw(st.integers(1, 6 if kind == "hitting" else 8))
+    values = {"--seed": draw(st.integers(0, 2**64)), "--t-call": t_call, "--servers": servers}
+    if kind == "hitting":
+        values["--mode"] = "hitting"
+        # rho >= 0.7 keeps the walks short
+        values["--t-service"] = draw(st.floats(0.7, 2.0)) * servers * t_call
+        values["--start-state"] = draw(st.integers(0, servers))
+        values["--replications"] = draw(st.integers(1, 1500))
+    else:
+        warmup = draw(st.floats(0.0, 500.0))
+        values["--t-service"] = draw(st.floats(1.0, 200.0))
+        values["--start-state"] = draw(st.integers(0, 12))
+        values["--replications"] = draw(st.integers(1, 3))
+        values["--warmup"] = warmup
+        values["--horizon-min"] = warmup + draw(st.floats(1.0, 3000.0))
+    argv = ["simulate", *(f"{flag}={value!r}".replace("'", "") for flag, value in values.items())]
+    if kind == "stationary":
+        for flag in ("--wait-samples", "--allow-unstable", "--compare"):
+            if draw(st.booleans()):
+                argv.append(flag)
+        argv.append(f"--assignment={draw(st.sampled_from(['random', 'least_index']))}")
+    if draw(st.integers(0, 3)) == 0:
+        flag = draw(st.sampled_from(sorted(set(values) - {"--mode"})))
+        argv.append(f"{flag}={draw(st.one_of(EXTREME, GARBAGE))}")
+    if draw(st.integers(0, 3)) == 0:
+        # each of these alone puts a run far over its budget (10^7
+        # replications of a short walk are within the hitting budget)
+        argv += draw(st.sampled_from([
+            ["--start-state=100000000"],
+            ["--servers=20", f"--t-service={0.3 * 20 * t_call!r}", "--start-state=0"],
+        ] if kind == "hitting" else [
+            ["--t-service=1", "--warmup=0", "--wait-samples", "--allow-unstable",
+             f"--horizon-min={2e6 * t_call!r}"],
+            ["--horizon-min=1e12"],
+            ["--start-state=100000000"],
+            ["--replications=10000000"],
+            ["--servers=1000000"],
+        ]))
+    return argv
+
+
+def _finite_csv(path):
+    for line in path.read_text().splitlines()[1:]:
+        assert all(math.isfinite(float(field)) for field in line.split(",")), line
+
+
+@settings(
+    derandomize=True, deadline=None, max_examples=200, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(run_argvs())
+def test_simulation_and_stationary_csv_finish_cleanly(time_limit, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with warnings.catch_warnings(), time_limit(5):
+                warnings.simplefilter("ignore")
+                code = main([*argv, f"--out-dir={out_dir}"])
+        files = sorted(out_dir.glob("*")) if out_dir.exists() else []
+        if code == 0:
+            assert files
+            for path in files:
+                if path.suffix == ".json":
+                    json.loads(path.read_text(), parse_constant=_refuse_constant)
+                else:
+                    _finite_csv(path)
+        else:
+            assert code in (2, 3)
+            assert files == []

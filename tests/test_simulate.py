@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,15 @@ from ambuq import (
     simulate_stationary,
     stationary_profile,
 )
-from ambuq.simulate import HITTING_BLOCK, MAX_HITTING_STEPS, N_BATCHES, _hitting_times, _split
+from ambuq.simulate import (
+    HITTING_BLOCK,
+    MAX_FCFS_EVENTS,
+    MAX_HITTING_STEPS,
+    N_BATCHES,
+    _hitting_times,
+    _split,
+)
+from ambuq.steady_state import MAX_CSV_ROWS
 from oracles import hitting_times_scalar, simulate_jump_occupancy
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
@@ -128,6 +137,22 @@ def test_hitting_run_over_the_step_budget_is_refused(time_limit):
             simulate_hitting_time(fleet, 0, SimConfig(seed=1, replications=too_many))
 
 
+def test_hitting_budget_counts_whole_blocks(monkeypatch, time_limit):
+    # one walk costs about as much per step as a full block, so M = 13 is
+    # charged 1024 walks of about 1.9e5 steps each and refused at once
+    with time_limit(1):
+        with pytest.raises(ParameterError, match="1024 walks"):
+            simulate_hitting_time(
+                SystemParams(t_call=15, t_service=50, servers=13), 0, SimConfig(seed=1, replications=1)
+            )
+    # while M = 12, charged about 4.7e7 steps, still runs
+    monkeypatch.setattr("ambuq.simulate._hitting_times", lambda *args: np.ones(args[-1]))
+    params = SystemParams(t_call=15, t_service=50, servers=12)
+    charged = HITTING_BLOCK * mfpt_critical_profile(params).times[0] * (1 / 15 + 12 / 50)
+    assert 4e7 < charged < MAX_HITTING_STEPS
+    assert simulate_hitting_time(params, 0, SimConfig(seed=1, replications=1)).value == 1.0
+
+
 def test_split_steps_past_rounded_batch_edges():
     # with this real-valued window a batch edge recomputed from the previous
     # cut rounds down to the batch before it, which once stalled the split
@@ -139,6 +164,70 @@ def test_split_steps_past_rounded_batch_edges():
     assert [b for b, _ in pieces] == list(range(N_BATCHES))
     assert all(seg > 0.0 for _, seg in pieces)
     assert sum(seg for _, seg in pieces) == pytest.approx(horizon - warmup, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "servers, config, assignment",
+    [
+        (6, SHORT, "random"),
+        (6, SHORT, "least_index"),
+        (6, SimConfig(seed=31, replications=2, warmup=500.0, horizon=20500.0, start_state=15), "random"),
+        (3, SimConfig(seed=2, replications=1, warmup=100.0, horizon=20100.0, start_state=1), "random"),
+    ],
+)
+def test_server_busy_spans_match_the_occupancy_path(servers, config, assignment):
+    # each server's service spans, clipped to the measurement window, add up
+    # to the min(n, M) busy servers read off the occupancy histogram; the
+    # last case is unstable (rho = 10/9)
+    params = SystemParams(t_call=15, t_service=50, servers=servers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = simulate_stationary(params, config, t_los=30.0, assignment=assignment)
+    from_spans = sum(result.per_server_busy) / servers
+    assert from_spans == pytest.approx(result.estimates["p_busy_per_server"].value, rel=1e-12)
+
+
+def test_stationary_run_over_the_event_budget_is_refused(time_limit):
+    with time_limit(1):
+        # about 2e12 events at one arrival and one departure a minute
+        with pytest.raises(ParameterError, match="events"):
+            simulate_stationary(
+                SystemParams(t_call=1, t_service=1, servers=2),
+                SimConfig(seed=1, warmup=0.0, horizon=1e12),
+            )
+        # every initial call is one event at least
+        with pytest.raises(ParameterError, match="events"):
+            simulate_stationary(
+                REFERENCE,
+                SimConfig(seed=1, replications=3, warmup=0.0, horizon=1000.0, start_state=5 * 10**6),
+            )
+        # and every replication one draw block and 20 M occupancy bins,
+        # however short its horizon
+        with pytest.raises(ParameterError, match="events"):
+            simulate_stationary(
+                REFERENCE, SimConfig(seed=1, replications=10**7, warmup=0.0, horizon=1e-3)
+            )
+        with pytest.raises(ParameterError, match="events"):
+            simulate_stationary(
+                SystemParams(t_call=1, t_service=1, servers=10**6),
+                SimConfig(seed=1, warmup=0.0, horizon=10.0),
+            )
+        with pytest.raises(ParameterError, match="start_state"):
+            SimConfig(seed=1, start_state=MAX_FCFS_EVENTS + 1)
+
+
+def test_wait_log_over_the_row_cap_is_refused(time_limit):
+    params = SystemParams(t_call=1, t_service=1, servers=2)
+    config = SimConfig(seed=1, warmup=0.0, horizon=2 * MAX_CSV_ROWS)
+    with time_limit(1):
+        with pytest.raises(ParameterError, match="rows"):
+            simulate_stationary(params, config, collect_waits=True)
+
+
+def test_window_too_short_to_batch_is_refused():
+    # (5e-324 - 0) / 20 underflows to a zero batch length
+    with pytest.raises(ParameterError, match="horizon must exceed warmup"):
+        SimConfig(seed=1, warmup=0.0, horizon=5e-324).resolved(REFERENCE)
 
 
 def test_stationary_estimates_match_analytics():
