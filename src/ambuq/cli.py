@@ -10,6 +10,7 @@ not met within the scan cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -193,15 +194,20 @@ def _write_lines(path: Path, lines) -> None:
     """The one file writer: lines go to a sibling .tmp file that is then
     renamed over ``path``, so a reader never sees a partial file. A path
     that cannot be written, such as an --out-dir naming a regular file, is
-    a ParameterError."""
+    a ParameterError. The .tmp file does not outlive a failed write."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
         os.replace(tmp, path)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {path}: {exc}") from None
+    except BaseException as exc:
+        # the .tmp file may be partial, or may never have been made
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise ParameterError(f"cannot write {path}: {exc}") from None
+        raise
 
 
 def _write_json(path: Path, obj) -> None:
@@ -292,8 +298,10 @@ def _cmd_mfpt(args) -> int:
     out_dir = Path(args.out_dir)
 
     # Everything is computed and checked before any file is written, so an
-    # overflow leaves no partial output behind.
+    # overflow leaves no partial output behind, and the summary is printed
+    # after the last write.
     profiles = []
+    display = []
     for m in scenario.servers:
         params = _params_for(scenario, m)
         profile = mfpt_critical_profile(params)
@@ -305,7 +313,7 @@ def _cmd_mfpt(args) -> int:
             "times": list(profile.times),
             "mean_time": profile.mean_time,
         })
-        print(
+        display.append(
             f"M={m}: T(0)={_fmt_minutes(profile.times[0], args.hours)} "
             f"<T>={_fmt_minutes(profile.mean_time, args.hours)}"
         )
@@ -318,8 +326,9 @@ def _cmd_mfpt(args) -> int:
     _write_json(out_dir / "mfpt.json", profiles[0] if len(profiles) == 1 else profiles)
     if rows is not None:
         write_sweep_csv(rows, out_dir / "mfpt_sweep.csv")
-        print(f"wrote {out_dir / 'mfpt_sweep.csv'} ({len(rows)} rows)")
-    print(f"wrote {out_dir / 'mfpt.json'}")
+        display.append(f"wrote {out_dir / 'mfpt_sweep.csv'} ({len(rows)} rows)")
+    display.append(f"wrote {out_dir / 'mfpt.json'}")
+    print("\n".join(display))
     return EXIT_OK
 
 
@@ -428,19 +437,22 @@ def _cmd_simulate(args) -> int:
         require_steady_state(params)
     rho = derive(params).rho
 
+    # The summary is printed after the last write, so a failed write
+    # reports nothing as done.
     payload: dict = {"mode": args.mode}
+    display = []
     if args.mode == "hitting":
         estimate = simulate_hitting_time(params, scenario.start_state, config)
         estimates = {"hitting_time_mean": estimate}
         resolved = config
-        print(
+        display.append(
             f"hitting time from state {scenario.start_state}: "
             f"{estimate.value:.6g} min +- {estimate.std_error:.3g} "
             f"({estimate.n_samples} replications)"
         )
         if args.compare:
             analytic = {"hitting_time_mean": mfpt_critical_profile(params).times[scenario.start_state]}
-            _print_comparison(estimates, analytic)
+            display.extend(_comparison_lines(estimates, analytic))
     else:
         resolved = config.resolved(params)
         result = simulate_stationary(
@@ -456,22 +468,26 @@ def _cmd_simulate(args) -> int:
         for name in ("p_occup", "throughput", "wait_mean_conditional", "p_busy_per_server"):
             if name in estimates:
                 est = estimates[name]
-                print(f"{name} = {est.value:.6g} +- {est.std_error:.3g} ({est.n_samples} batches)")
+                display.append(
+                    f"{name} = {est.value:.6g} +- {est.std_error:.3g} ({est.n_samples} batches)"
+                )
         if rho >= 1.0:
             first, last = result.batch_queue_means[0], result.batch_queue_means[-1]
-            print(
+            display.append(
                 f"unstable run (rho={rho:.6g}): mean queue length grew from "
                 f"{first:.6g} (first batch) to {last:.6g} (last batch)"
             )
         if args.compare:
-            _print_comparison(estimates, _analytic_counterparts(params, scenario.t_los_min))
+            display.extend(
+                _comparison_lines(estimates, _analytic_counterparts(params, scenario.t_los_min))
+            )
         if args.wait_samples:
             _write_csv(
                 out_dir / "sim_waits.csv",
                 WAITS_CSV_HEADER,
                 (f"{idx},{w!r}\n" for idx, w in (result.waits or ())),
             )
-            print(f"wrote {out_dir / 'sim_waits.csv'}")
+            display.append(f"wrote {out_dir / 'sim_waits.csv'}")
 
     payload["estimates"] = {k: est.value for k, est in sorted(estimates.items())}
     payload["std_errors"] = {k: est.std_error for k, est in sorted(estimates.items())}
@@ -489,12 +505,13 @@ def _cmd_simulate(args) -> int:
         "t_service_min": params.t_service,
     }
     _write_json(out_dir / "sim.json", payload)
-    print(f"wrote {out_dir / 'sim.json'}")
+    display.append(f"wrote {out_dir / 'sim.json'}")
+    print("\n".join(display))
     return EXIT_OK
 
 
-def _print_comparison(estimates, analytic) -> None:
-    print(f"{'quantity':<28} {'simulated':>12} {'std_err':>10} {'analytic':>12} {'z':>8}")
+def _comparison_lines(estimates, analytic) -> list[str]:
+    lines = [f"{'quantity':<28} {'simulated':>12} {'std_err':>10} {'analytic':>12} {'z':>8}"]
     for name in sorted(analytic):
         if name not in estimates:
             continue
@@ -504,7 +521,8 @@ def _print_comparison(estimates, analytic) -> None:
             z = (est.value - ref) / est.std_error
         else:
             z = 0.0 if est.value == ref else math.inf
-        print(f"{name:<28} {est.value:>12.6g} {est.std_error:>10.3g} {ref:>12.6g} {z:>8.2f}")
+        lines.append(f"{name:<28} {est.value:>12.6g} {est.std_error:>10.3g} {ref:>12.6g} {z:>8.2f}")
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,9 +5,15 @@ Two simulations are available: the full FCFS multi-server system
 must agree with the analytic one, and the occupancy walk's first passage
 to saturation, whose mean must agree with the saturation time.
 
-An FCFS replication keeps one occupancy histogram per batch (time spent at
-each n) and reads every time average off it. Per-server busy time comes
-from the service spans themselves, clipped to the measurement window.
+An FCFS replication's event loop only draws, moves calls and appends to
+flat buffers: the end time and occupancy n of each path segment, each
+departure time after warmup, and the arrival time and wait of each queued
+call. Every PATH_BLOCK events, and once more at the horizon, numpy folds
+the buffers into one occupancy histogram per batch (time spent at each n)
+and per-batch completion and wait tallies, so the buffers stay bounded
+however long the run. Every time average is read off the histograms.
+Per-server busy time comes from the service spans themselves, clipped to
+the measurement window.
 
 Every FCFS replication owns a counter-based Philox stream keyed by (seed,
 replication index). Hitting-time walks run in lockstep, HITTING_BLOCK
@@ -20,11 +26,11 @@ count. Replications run one after another in the calling thread.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -41,9 +47,12 @@ MAX_REPLICATIONS = 10**7
 # M mu) per walk, an upper bound, times the replications in whole blocks, as a
 # block costs about the same per step (20-70 us) with one walk or 1024.
 MAX_HITTING_STEPS = 10**8
-# Most events a stationary run may simulate, about 25 s at 2.4 us per event.
+# Most events a stationary run may simulate, 12-17 s at the 1.2-1.7 us per event
+# measured for a 4.8e6-event run on a shared 2-vCPU Xeon.
 MAX_FCFS_EVENTS = 10**7
 N_BATCHES = 20
+# Events an FCFS replication buffers before folding its path into the batches.
+PATH_BLOCK = 1 << 16
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -209,47 +218,78 @@ def simulate_hitting_time(
     return _estimate(times, config.seed)
 
 
-class _Batch:
-    """Accumulators for one batch window of one replication; ``occ`` maps
-    each occupancy n to the time spent there."""
+class _Batches:
+    """Per-batch accumulators of one replication, filled block by block.
 
-    __slots__ = ("occ", "completions", "wait_count", "wait_sum", "wait_below")
-
-    def __init__(self):
-        self.occ: dict[int, float] = {}
-        self.completions = 0
-        self.wait_count = 0
-        self.wait_sum = 0.0
-        self.wait_below = 0
-
-
-def _split(t0: float, t1: float, warmup: float, horizon: float, batch_len: float):
-    """Pieces of [t0, t1) clipped to the measurement window, keyed by batch.
-
-    The batch index steps forward from one piece to the next, never
-    recomputed from a rounded edge, and the last batch ends at the horizon.
+    Batch b covers [bounds[b], bounds[b + 1]): the inner edges are
+    warmup + (b + 1) * batch_len and the last batch ends at the horizon. A
+    time belongs to the batch whose edges enclose it, so every per-batch
+    quantity follows one rule. histograms[b] is a pair (lo, occ) with
+    occ[i] the time spent at occupancy n = lo + i, so a histogram spans
+    only the levels its batch visited.
     """
-    lo = t0 if t0 > warmup else warmup
-    hi = t1 if t1 < horizon else horizon
-    if lo >= hi:
-        return
-    b = int((lo - warmup) / batch_len)
-    while True:
-        if b >= N_BATCHES - 1:
-            yield N_BATCHES - 1, hi - lo
-            return
-        edge = warmup + (b + 1) * batch_len
-        if hi <= edge:
-            yield b, hi - lo
-            return
-        yield b, edge - lo
-        lo = edge
-        b += 1
 
+    __slots__ = ("bounds", "histograms", "completions", "wait_count", "wait_sum", "wait_below")
 
-def _batch_index(t: float, warmup: float, batch_len: float) -> int:
-    b = int((t - warmup) / batch_len)
-    return b if b < N_BATCHES else N_BATCHES - 1
+    def __init__(self, warmup: float, horizon: float):
+        batch_len = (horizon - warmup) / N_BATCHES
+        inner = warmup + np.arange(1, N_BATCHES) * batch_len
+        self.bounds = np.concatenate(([warmup], inner, [horizon]))
+        self.histograms: list[tuple[int, np.ndarray]] = [(0, np.zeros(0))] * N_BATCHES
+        self.completions = np.zeros(N_BATCHES, dtype=np.int64)
+        self.wait_count = np.zeros(N_BATCHES, dtype=np.int64)
+        self.wait_sum = np.zeros(N_BATCHES)
+        self.wait_below = np.zeros(N_BATCHES, dtype=np.int64)
+
+    def _batch_of(self, times: list[float]) -> np.ndarray:
+        values = np.fromiter(times, float, len(times))
+        return np.searchsorted(self.bounds[1:-1], values, side="right")
+
+    def fold_path(self, start: float, ends: list[float], levels: list[int]) -> None:
+        """Add the path that holds levels[i] from ends[i - 1] (``start`` for
+        i = 0) to ends[i] to the histograms.
+
+        The batch bounds inside the path are inserted as extra points, so no
+        segment crosses one and each segment counts toward the batch its
+        start lies in; segments before the warmup count nowhere. Each
+        level's time accumulates in path order, continuing the sums of
+        earlier blocks.
+        """
+        points = np.fromiter(itertools.chain((start,), ends), float, len(ends) + 1)
+        n = np.fromiter(levels, np.int64, len(levels))
+        inside = self.bounds[(self.bounds > points[0]) & (self.bounds < points[-1])]
+        at = np.searchsorted(points, inside)
+        n = np.insert(n, at, n[at - 1])
+        points = np.insert(points, at, inside)
+        duration = np.diff(points)
+        cuts = np.searchsorted(points[:-1], self.bounds).tolist()
+        for b in range(N_BATCHES):
+            i, j = cuts[b], cuts[b + 1]
+            if i == j:
+                continue
+            old_lo, old = self.histograms[b]
+            low = int(n[i:j].min())
+            if old.size:
+                low = min(low, old_lo)
+            # bincount adds in input order, so the old totals go first
+            self.histograms[b] = low, np.bincount(
+                np.concatenate((np.arange(old_lo - low, old_lo - low + old.size), n[i:j] - low)),
+                weights=np.concatenate((old, duration[i:j])),
+            )
+
+    def fold_departures(self, times: list[float]) -> None:
+        """Count completions at ``times``, all in [warmup, horizon)."""
+        self.completions += np.bincount(self._batch_of(times), minlength=N_BATCHES)
+
+    def fold_waits(self, arrivals: list[float], waits: list[float], t_los: float) -> None:
+        """Add queued waits, each to the batch of its call's arrival."""
+        b = self._batch_of(arrivals)
+        w = np.fromiter(waits, float, len(waits))
+        self.wait_count += np.bincount(b, minlength=N_BATCHES)
+        self.wait_sum = np.bincount(
+            np.concatenate((np.arange(N_BATCHES), b)), weights=np.concatenate((self.wait_sum, w))
+        )
+        self.wait_below += np.bincount(b[w < t_los], minlength=N_BATCHES)
 
 
 def _run_fcfs_replication(
@@ -259,15 +299,15 @@ def _run_fcfs_replication(
     t_los: float,
     assignment: str,
     collect_waits: bool,
-) -> tuple[list[_Batch], list[float], list[tuple[int, float]]]:
+) -> tuple[_Batches, list[float], list[tuple[int, float]]]:
     m = params.servers
     lam = params.arrival_rate
     mu = params.service_rate
     warmup = config.warmup
     horizon = config.horizon
-    batch_len = (horizon - warmup) / N_BATCHES
-    batches = [_Batch() for _ in range(N_BATCHES)]
+    record = _Batches(warmup, horizon)
     draws = _Draws(_stream(config.seed, rep))
+    block = PATH_BLOCK
 
     idle = list(range(m))
     busy = [0.0] * m
@@ -276,6 +316,23 @@ def _run_fcfs_replication(
     waits: list[tuple[int, float]] = []
     n = config.start_state
     call_index = 0
+
+    # The path since the last fold: segment end times and the occupancy
+    # during each segment, departure times after warmup, and the arrival
+    # times and waits of queued calls that arrived after warmup.
+    ends: list[float] = []
+    levels: list[int] = []
+    done: list[float] = []
+    arrivals: list[float] = []
+    queued_waits: list[float] = []
+    since = 0.0  # start of the first buffered segment
+
+    def fold() -> None:
+        record.fold_path(since, ends, levels)
+        record.fold_departures(done)
+        record.fold_waits(arrivals, queued_waits, t_los)
+        for buffer in (ends, levels, done, arrivals, queued_waits):
+            buffer.clear()
 
     def serve(server: int, start: float) -> None:
         end = start + draws.exponential() / mu
@@ -288,22 +345,18 @@ def _run_fcfs_replication(
     # min(start_state, m) already in service on the low-index servers.
     for _ in range(min(n, m)):
         serve(idle.pop(0), 0.0)
-    queue.extend(repeat((0.0, -1), n - m))
+    queue.extend(itertools.repeat((0.0, -1), n - m))
 
     next_arrival = draws.exponential() / lam
+    pick_random = assignment == "random"
 
-    t = 0.0
     while True:
         t_dep = departures[0][0] if departures else math.inf
-        t_next = next_arrival if next_arrival <= t_dep else t_dep
-        t_event = t_next if t_next < horizon else horizon
-        if t_event > t:
-            for b, seg in _split(t, t_event, warmup, horizon, batch_len):
-                occ = batches[b].occ
-                occ[n] = occ.get(n, 0.0) + seg
-        if t_next >= horizon:
+        t = next_arrival if next_arrival <= t_dep else t_dep
+        if t >= horizon:
             break
-        t = t_next
+        ends.append(t)
+        levels.append(n)
 
         if next_arrival <= t_dep:
             # arrival: schedule the next one, then dispatch or queue
@@ -315,7 +368,7 @@ def _run_fcfs_replication(
                 # the assignment draw is consumed under both policies so the
                 # occupancy path is identical; only the chosen server differs
                 u = draws.uniform()
-                if assignment == "random":
+                if pick_random:
                     pick = int(u * len(idle))
                     if pick >= len(idle):
                         pick = len(idle) - 1
@@ -334,26 +387,29 @@ def _run_fcfs_replication(
             _, server = heapq.heappop(departures)
             n -= 1
             if t >= warmup:
-                batches[_batch_index(t, warmup, batch_len)].completions += 1
+                done.append(t)
             if queue:
                 arrival, index = queue.popleft()
                 wait = t - arrival
                 # only queued calls count toward the conditional wait statistics;
                 # immediate dispatches wait zero and appear only in the call log
                 if arrival >= warmup:
-                    batch = batches[_batch_index(arrival, warmup, batch_len)]
-                    batch.wait_count += 1
-                    batch.wait_sum += wait
-                    if wait < t_los:
-                        batch.wait_below += 1
+                    arrivals.append(arrival)
+                    queued_waits.append(wait)
                 if collect_waits and index >= 0:
                     waits.append((index, wait))
                 serve(server, t)
             else:
                 idle.append(server)
+        if len(ends) >= block:
+            fold()
+            since = t
 
+    ends.append(horizon)
+    levels.append(n)
+    fold()
     waits.sort()
-    return batches, busy, waits
+    return record, busy, waits
 
 
 def _estimate(values, seed: int) -> SimEstimate | None:
@@ -366,28 +422,35 @@ def _estimate(values, seed: int) -> SimEstimate | None:
 
 
 def _occupancy_estimates(
-    batches: list[_Batch], servers: int, batch_len: float, seed: int
+    histograms: list[tuple[int, np.ndarray]], servers: int, batch_len: float, seed: int
 ) -> tuple[dict[str, SimEstimate | None], tuple[float, ...]]:
     """Estimates of pi_n, p_occup, cond_queue_k, mean_queue_len_conditional
     and p_busy_per_server (None where no batch counts), and the batch mean
-    queue lengths, all read off ``occ``: FCFS keeps min(n, M) servers busy."""
+    queue lengths, all read off the per-batch histograms (lo, occ), occ[i]
+    the time at n = lo + i: FCFS keeps min(n, M) servers busy."""
     m = servers
-    occup = [sum(t for n, t in b.occ.items() if n >= m) for b in batches]
-    queue_area = [sum((n - m) * t for n, t in b.occ.items() if n > m) for b in batches]
+
+    def at(lo: int, occ: np.ndarray, n: int) -> float:
+        return float(occ[n - lo]) if lo <= n < lo + occ.size else 0.0
+
+    occup, queue_area, busy = [], [], []
+    for lo, occ in histograms:
+        levels = np.arange(lo, lo + occ.size)
+        occup.append(float(occ[max(m - lo, 0):].sum()))
+        queue_area.append(float((np.maximum(levels - m, 0) * occ).sum()))
+        busy.append(float((np.minimum(levels, m) * occ).sum()))
     estimates = {
-        f"pi_{n}": _estimate([b.occ.get(n, 0.0) / batch_len for b in batches], seed)
+        f"pi_{n}": _estimate([at(lo, occ, n) / batch_len for lo, occ in histograms], seed)
         for n in range(m + 5 + 1)
     }
     estimates["p_occup"] = _estimate([t / batch_len for t in occup], seed)
-    occupied = [(b.occ, t, q) for b, t, q in zip(batches, occup, queue_area) if t > 0.0]
+    occupied = [(h, t, q) for h, t, q in zip(histograms, occup, queue_area) if t > 0.0]
     for k in range(10 + 1):
         estimates[f"cond_queue_{k}"] = _estimate(
-            [occ.get(m + k, 0.0) / t for occ, t, _ in occupied], seed
+            [at(lo, occ, m + k) / t for (lo, occ), t, _ in occupied], seed
         )
     estimates["mean_queue_len_conditional"] = _estimate([q / t for _, t, q in occupied], seed)
-    estimates["p_busy_per_server"] = _estimate(
-        [sum(min(n, m) * t for n, t in b.occ.items()) / (m * batch_len) for b in batches], seed
-    )
+    estimates["p_busy_per_server"] = _estimate([b / (m * batch_len) for b in busy], seed)
     return estimates, tuple(q / batch_len for q in queue_area)
 
 
@@ -454,28 +517,29 @@ def simulate_stationary(
             stacklevel=2,
         )
 
-    batches: list[_Batch] = []
+    records: list[_Batches] = []
     per_server = [0.0] * m
     merged_waits: list[float] = []
     for rep in range(cfg.replications):
-        rep_batches, rep_busy, rep_waits = _run_fcfs_replication(
+        record, rep_busy, rep_waits = _run_fcfs_replication(
             params, cfg, rep, t_los, assignment, collect_waits
         )
-        batches.extend(rep_batches)
+        records.append(record)
         per_server = [a + b for a, b in zip(per_server, rep_busy)]
         merged_waits.extend(wait for _, wait in rep_waits)
 
     batch_len = (cfg.horizon - cfg.warmup) / N_BATCHES
-    estimates, batch_queue_means = _occupancy_estimates(batches, m, batch_len, cfg.seed)
-    estimates["throughput"] = _estimate([b.completions / batch_len for b in batches], cfg.seed)
-    waited = [b for b in batches if b.wait_count > 0]
-    estimates["wait_mean_conditional"] = _estimate(
-        [b.wait_sum / b.wait_count for b in waited], cfg.seed
-    )
-    estimates["wait_cdf_at_t_los"] = _estimate(
-        [b.wait_below / b.wait_count for b in waited], cfg.seed
-    )
-    total_time = len(batches) * batch_len
+    histograms = [h for record in records for h in record.histograms]
+    estimates, batch_queue_means = _occupancy_estimates(histograms, m, batch_len, cfg.seed)
+    completions = np.concatenate([record.completions for record in records])
+    estimates["throughput"] = _estimate(completions / batch_len, cfg.seed)
+    wait_count = np.concatenate([record.wait_count for record in records])
+    waited = wait_count > 0
+    wait_sum = np.concatenate([record.wait_sum for record in records])[waited]
+    wait_below = np.concatenate([record.wait_below for record in records])[waited]
+    estimates["wait_mean_conditional"] = _estimate(wait_sum / wait_count[waited], cfg.seed)
+    estimates["wait_cdf_at_t_los"] = _estimate(wait_below / wait_count[waited], cfg.seed)
+    total_time = len(histograms) * batch_len
     return StationaryResult(
         estimates={name: est for name, est in estimates.items() if est is not None},
         per_server_busy=tuple(busy / total_time for busy in per_server),

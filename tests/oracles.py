@@ -9,8 +9,9 @@ one scalar walk per replication instead of walks run in lockstep.
 
 The reference routes for an arbitrary birth-death ladder live here as well:
 the nested sum/product hitting time, the structured tridiagonal solve, the
-truncated product-form stationary law, the Gamma waiting-time density and
-the bare occupancy jump chain. The package computes each of these
+truncated product-form stationary law, the Gamma waiting-time density, the
+bare occupancy jump chain and the segment-by-segment batch split of an
+occupancy path. The package computes each of these
 quantities one way only; these are the second ways.
 """
 
@@ -25,10 +26,9 @@ from ambuq import NoSteadyStateError, ParameterError, derive, queue_conditional_
 from ambuq.params import as_int, as_real, require_steady_state
 from ambuq.simulate import (
     N_BATCHES,
-    _Batch,
+    _Batches,
     _Draws,
     _occupancy_estimates,
-    _split,
     _stream,
 )
 
@@ -197,45 +197,81 @@ def gamma_wait_density(t, k_ahead, params):
     return alpha * math.exp(k_ahead * math.log(x) - x - math.lgamma(k_ahead + 1))
 
 
+def _split(t0: float, t1: float, warmup: float, horizon: float, batch_len: float):
+    """Pieces of [t0, t1) clipped to the measurement window, keyed by batch.
+
+    The batch index steps forward from one piece to the next, never
+    recomputed from a rounded edge, and the last batch ends at the horizon.
+    """
+    lo = t0 if t0 > warmup else warmup
+    hi = t1 if t1 < horizon else horizon
+    if lo >= hi:
+        return
+    b = int((lo - warmup) / batch_len)
+    while True:
+        if b >= N_BATCHES - 1:
+            yield N_BATCHES - 1, hi - lo
+            return
+        edge = warmup + (b + 1) * batch_len
+        if hi <= edge:
+            yield b, hi - lo
+            return
+        yield b, edge - lo
+        lo = edge
+        b += 1
+
+
+def split_histograms(start, ends, levels, warmup, horizon):
+    """Per-batch occupancy histograms {n: time} of the path that holds
+    levels[i] from ends[i - 1] (``start`` for i = 0) to ends[i], added one
+    segment at a time through ``_split``."""
+    batch_len = (horizon - warmup) / N_BATCHES
+    histograms = [{} for _ in range(N_BATCHES)]
+    t = start
+    for end, n in zip(ends, levels):
+        for b, seg in _split(t, end, warmup, horizon, batch_len):
+            occ = histograms[b]
+            occ[n] = occ.get(n, 0.0) + seg
+        t = end
+    return histograms
+
+
 def _run_jump_replication(params, config, rep):
     m = params.servers
     lam = params.arrival_rate
     mu = params.service_rate
-    warmup = config.warmup
     horizon = config.horizon
-    batch_len = (horizon - warmup) / N_BATCHES
-    batches = [_Batch() for _ in range(N_BATCHES)]
     draws = _Draws(_stream(config.seed, rep))
 
+    ends, levels = [], []
     t = 0.0
     n = config.start_state
     while t < horizon:
         down = mu * (n if n < m else m) if n >= 1 else 0.0
         total = lam + down
-        t_next = t + draws.exponential() / total
-        t_stop = t_next if t_next < horizon else horizon
-        for b, seg in _split(t, t_stop, warmup, horizon, batch_len):
-            occ = batches[b].occ
-            occ[n] = occ.get(n, 0.0) + seg
-        t = t_next
+        t = t + draws.exponential() / total
+        ends.append(t if t < horizon else horizon)
+        levels.append(n)
         if t >= horizon:
             break
         if draws.uniform() * total < lam:
             n += 1
         else:
             n -= 1
-    return batches
+    record = _Batches(config.warmup, horizon)
+    record.fold_path(0.0, ends, levels)
+    return record.histograms
 
 
 def simulate_jump_occupancy(params, config):
     """Occupancy estimates from the bare jump chain, for cross-validation
     against the FCFS system (same estimator, same batching)."""
     cfg = config.resolved(params)
-    batches = []
+    histograms = []
     for rep in range(cfg.replications):
-        batches.extend(_run_jump_replication(params, cfg, rep))
+        histograms.extend(_run_jump_replication(params, cfg, rep))
     batch_len = (cfg.horizon - cfg.warmup) / N_BATCHES
-    estimates, _ = _occupancy_estimates(batches, params.servers, batch_len, cfg.seed)
+    estimates, _ = _occupancy_estimates(histograms, params.servers, batch_len, cfg.seed)
     return {name: est for name, est in estimates.items() if est is not None}
 
 

@@ -11,7 +11,7 @@ from ambuq import (
     mfpt_critical_profile,
     stationary_profile,
 )
-from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, main
+from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _write_lines, main
 from ambuq.params import MAX_FLEET
 from ambuq.simulate import MAX_REPLICATIONS
 
@@ -431,6 +431,36 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, config):
         assert str(out_dir) in err
         assert out_dir.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (("simulate", *BASE, "--servers", 6, "--seed", 1, "--warmup", 100, "--horizon-min", 3100,
+          "--wait-samples", "--compare"), "sim.json"),
+        (("mfpt", *BASE, "--servers", 6), "mfpt.json"),
+    ],
+)
+def test_failed_last_write_exits_2_and_reports_nothing(tmp_path, capsys, argv, last):
+    # a directory holds the last file's name, so only its final rename fails
+    out_dir = tmp_path / "out"
+    (out_dir / last).mkdir(parents=True)
+    assert run(*argv, "--out-dir", out_dir) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_dir / last}")
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert (out_dir / last).is_dir()
+
+
+def test_writer_removes_its_temp_file_when_the_lines_fail(tmp_path):
+    def lines():
+        yield "first\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        _write_lines(tmp_path / "out.csv", lines())
+    assert written(tmp_path) == []
 
 
 def test_count_caps_admit_the_cap_itself():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,11 +24,11 @@ from ambuq.simulate import (
     MAX_FCFS_EVENTS,
     MAX_HITTING_STEPS,
     N_BATCHES,
+    _Batches,
     _hitting_times,
-    _split,
 )
 from ambuq.steady_state import MAX_CSV_ROWS
-from oracles import hitting_times_scalar, simulate_jump_occupancy
+from oracles import _split, hitting_times_scalar, simulate_jump_occupancy, split_histograms
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
 SHORT = SimConfig(seed=11, replications=1, warmup=2500.0, horizon=202500.0)
@@ -164,6 +165,114 @@ def test_split_steps_past_rounded_batch_edges():
     assert [b for b, _ in pieces] == list(range(N_BATCHES))
     assert all(seg > 0.0 for _, seg in pieces)
     assert sum(seg for _, seg in pieces) == pytest.approx(horizon - warmup, rel=1e-15)
+
+
+def random_path(seed, lo, horizon, events, start_state):
+    """Sorted event times in [lo, horizon) closed by the horizon, and a
+    reflecting +-1 walk of occupancy levels from start_state."""
+    rng = np.random.default_rng(seed)
+    ends = sorted(rng.uniform(lo, horizon, events).tolist()) + [horizon]
+    levels = [start_state]
+    for step in rng.choice([-1, 1], events).tolist():
+        levels.append(abs(levels[-1] + step))
+    return ends, levels
+
+
+def fold_in_blocks(record, ends, levels, size):
+    for i in range(0, len(ends), size):
+        record.fold_path(ends[i - 1] if i else 0.0, ends[i:i + size], levels[i:i + size])
+
+
+def assert_same_histograms(record, reference):
+    for b, ((lo, occ), ref) in enumerate(zip(record.histograms, reference)):
+        for n in set(ref) | set(range(lo, lo + occ.size)):
+            got = float(occ[n - lo]) if lo <= n < lo + occ.size else 0.0
+            assert got == ref.get(n, 0.0), (b, n)
+
+
+PATHS = {
+    "ordinary": (2500.0, 202500.0, 3000, 0),
+    # batch edges of this window round onto a few shared floats
+    "rounded edges": (3e7, 30000000.0000003, 500, 3),
+    "start above M": (100.0, 20100.0, 2000, 40),
+    "segments span batches": (1000.1, 20000.3, 6, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(PATHS))
+@pytest.mark.parametrize("size", [1, 7, 10**6])
+def test_path_fold_matches_the_split_reference(name, size):
+    warmup, horizon, events, start_state = PATHS[name]
+    lo = 0.0 if warmup < 1e6 else warmup - 1e-6
+    ends, levels = random_path(len(name), lo, horizon, events, start_state)
+    record = _Batches(warmup, horizon)
+    fold_in_blocks(record, ends, levels, size)
+    reference = split_histograms(0.0, ends, levels, warmup, horizon)
+    assert_same_histograms(record, reference)
+    # sums over levels are taken in another order, so they may differ in the last bits
+    for (lo_n, occ), ref in zip(record.histograms, reference):
+        levels_b = np.arange(lo_n, lo_n + occ.size)
+        assert occ.sum() == pytest.approx(sum(ref.values()), rel=1e-14, abs=0.0)
+        assert (levels_b * occ).sum() == pytest.approx(
+            sum(n * t for n, t in ref.items()), rel=1e-14, abs=0.0
+        )
+
+
+def test_fcfs_path_matches_the_split_reference_across_flushes(monkeypatch):
+    # a real-valued window, more calls than servers at the start, and a fold
+    # every 50 events; the reference splits the whole path in one go
+    monkeypatch.setattr("ambuq.simulate.PATH_BLOCK", 50)
+    folds = []
+    fold_path = _Batches.fold_path
+
+    def recording(self, start, ends, levels):
+        folds.append((self, start, list(ends), list(levels)))
+        fold_path(self, start, ends, levels)
+
+    monkeypatch.setattr(_Batches, "fold_path", recording)
+    config = SimConfig(seed=5, warmup=1000.1, horizon=20000.3, start_state=15)
+    simulate_stationary(REFERENCE, config)
+    assert len(folds) > 20
+    record = folds[0][0]
+    assert all(fold[0] is record for fold in folds)
+    assert all(fold[1] == prev[2][-1] for prev, fold in zip(folds, folds[1:]))
+    ends = [t for fold in folds for t in fold[2]]
+    levels = [n for fold in folds for n in fold[3]]
+    assert_same_histograms(record, split_histograms(0.0, ends, levels, 1000.1, 20000.3))
+    # every departure after warmup is one completion in the batch enclosing it
+    departures = [t for t, n, after in zip(ends, levels, levels[1:]) if after < n and t >= 1000.1]
+    edges = record.bounds
+    expected = [sum(edges[b] <= t < edges[b + 1] for t in departures) for b in range(N_BATCHES)]
+    assert record.completions.tolist() == expected
+
+
+def test_stationary_estimates_do_not_depend_on_the_block_size(monkeypatch):
+    config = SimConfig(seed=8, replications=2, warmup=500.0, horizon=20500.0, start_state=15)
+
+    def run():
+        return simulate_stationary(REFERENCE, config, collect_waits=True)
+
+    whole = run()
+    monkeypatch.setattr("ambuq.simulate.PATH_BLOCK", 3)
+    blocked = run()
+    assert blocked == whole
+
+
+def test_stationary_memory_does_not_grow_with_the_run(monkeypatch):
+    # tracemalloc makes each event about ten times dearer, so the runs are
+    # short: 1.25e4 and 5e4 events at two events a minute
+    monkeypatch.setattr("ambuq.simulate.PATH_BLOCK", 1024)
+    params = SystemParams(t_call=1, t_service=5, servers=6)
+    simulate_stationary(params, SimConfig(seed=1, warmup=10.0, horizon=100.0))
+    peaks = []
+    for horizon in (6250.0, 25000.0):
+        tracemalloc.start()
+        try:
+            simulate_stationary(params, SimConfig(seed=1, warmup=100.0, horizon=horizon))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize(
