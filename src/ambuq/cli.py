@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -190,53 +191,81 @@ def _params_for(scenario: ScenarioConfig, servers: int) -> SystemParams:
     )
 
 
-def _write_lines(path: Path, lines) -> None:
-    """The one file writer: lines go to a sibling .tmp file that is then
-    renamed over ``path``, so a reader never sees a partial file. A path
-    that cannot be written, such as an --out-dir naming a regular file, is
-    a ParameterError. The .tmp file does not outlive a failed write."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
+@contextlib.contextmanager
+def _staged_writes():
+    """The one file writer, for every file of one command. It yields
+    ``write(path, lines)``, which puts the lines in full in a sibling .tmp
+    file; when the block ends, each .tmp file is renamed over its path in
+    the order written, so a reader never sees a partial file. If anything
+    fails first, in a write, the block or a rename, every .tmp file and
+    every file already renamed is removed, so a command leaves all its
+    files or none. An OSError, such as an --out-dir naming a regular file,
+    becomes a ParameterError naming the path."""
+    staged: list[tuple[Path, Path]] = []
+    renamed: list[Path] = []
+    failing = None
+
+    def write(path: Path, lines) -> None:
+        nonlocal failing
+        failing = path
+        # staged before the .tmp file is made, so a partial one is removed
+        staged.append((path.with_name(path.name + ".tmp"), path))
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(staged[-1][0], "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
-        os.replace(tmp, path)
+        failing = None
+
+    try:
+        yield write
+        for tmp, path in staged:
+            failing = path
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException as exc:
-        # the .tmp file may be partial, or may never have been made
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        if isinstance(exc, OSError):
-            raise ParameterError(f"cannot write {path}: {exc}") from None
+        for leftover in itertools.chain(renamed, (tmp for tmp, _ in staged)):
+            with contextlib.suppress(OSError):
+                leftover.unlink()
+        if isinstance(exc, OSError) and failing is not None:
+            raise ParameterError(f"cannot write {failing}: {exc}") from None
         raise
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_lines(path: Path, lines) -> None:
+    """Write one file on its own, through ``_staged_writes``."""
+    with _staged_writes() as write:
+        write(path, lines)
+
+
+def _write_json(write, path: Path, obj) -> None:
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         raise ParameterError(
             f"{path.name} would hold a value that exceeds the floating-point range"
         ) from None
-    _write_lines(path, (text, "\n"))
+    write(path, (text, "\n"))
 
 
-def _write_csv(path: Path, header: str, lines) -> None:
+def _write_csv(write, path: Path, header: str, lines) -> None:
     """``lines`` are the formatted rows, each ending in a newline."""
-    _write_lines(path, itertools.chain((header + "\n",), lines))
+    write(path, itertools.chain((header + "\n",), lines))
 
 
-def write_sweep_csv(rows, path) -> None:
-    """Write mfpt_sweep rows to CSV with 6 significant digits per value."""
+def write_sweep_csv(rows, path, write=_write_lines) -> None:
+    """Write mfpt_sweep rows to CSV with 6 significant digits per value.
+    ``write`` is a command's staged writer; by default the file is written
+    on its own."""
     _write_csv(
-        Path(path), SWEEP_CSV_HEADER,
+        write, Path(path), SWEEP_CSV_HEADER,
         (f"{t_call:.6g},{m},{mean_time:.6g}\n" for t_call, m, mean_time in rows),
     )
 
 
-def write_stationary_csv(params: SystemParams, path) -> None:
-    """Write the (n, pi_n) rows of ``stationary_csv_rows`` at full precision."""
+def write_stationary_csv(params: SystemParams, path, write=_write_lines) -> None:
+    """Write the (n, pi_n) rows of ``stationary_csv_rows`` at full precision.
+    ``write`` is as for ``write_sweep_csv``."""
     _write_csv(
-        Path(path), STATIONARY_CSV_HEADER,
+        write, Path(path), STATIONARY_CSV_HEADER,
         (f"{n},{pi_n!r}\n" for n, pi_n in stationary_csv_rows(params)),
     )
 
@@ -277,12 +306,15 @@ def _cmd_analyze(args) -> int:
             f"throughput={report.throughput:.6g}/min"
         )
 
-    _write_json(out_dir / "report.json", reports[0] if len(reports) == 1 else reports)
-    if len(reports) > 1:
-        _write_csv(out_dir / "service_summary.csv", SERVICE_SUMMARY_HEADER, summary_lines)
-    if args.stationary_csv:
-        for params in checked:
-            write_stationary_csv(params, out_dir / f"stationary_M{params.servers}.csv")
+    with _staged_writes() as write:
+        _write_json(write, out_dir / "report.json", reports[0] if len(reports) == 1 else reports)
+        if len(reports) > 1:
+            _write_csv(
+                write, out_dir / "service_summary.csv", SERVICE_SUMMARY_HEADER, summary_lines
+            )
+        if args.stationary_csv:
+            for params in checked:
+                write_stationary_csv(params, out_dir / f"stationary_M{params.servers}.csv", write)
     print("\n".join(display))
     print(f"wrote {out_dir / 'report.json'}")
     return EXIT_OK
@@ -323,9 +355,11 @@ def _cmd_mfpt(args) -> int:
         for t_call, m, mean_time in rows:
             _require_finite(mean_time, f"sweep mean time for servers={m}, t_call={t_call:g}")
 
-    _write_json(out_dir / "mfpt.json", profiles[0] if len(profiles) == 1 else profiles)
+    with _staged_writes() as write:
+        _write_json(write, out_dir / "mfpt.json", profiles[0] if len(profiles) == 1 else profiles)
+        if rows is not None:
+            write_sweep_csv(rows, out_dir / "mfpt_sweep.csv", write)
     if rows is not None:
-        write_sweep_csv(rows, out_dir / "mfpt_sweep.csv")
         display.append(f"wrote {out_dir / 'mfpt_sweep.csv'} ({len(rows)} rows)")
     display.append(f"wrote {out_dir / 'mfpt.json'}")
     print("\n".join(display))
@@ -373,7 +407,7 @@ def _cmd_size(args) -> int:
         "found": result.found,
         "m_max": query.m_max,
     }
-    _write_json(out_dir / "sizing.json", payload)
+    _write_json(_write_lines, out_dir / "sizing.json", payload)
     if result.found:
         print(
             f"min fleet M={result.m}: {result.kind} value {result.predicate_value:.6g}"
@@ -441,6 +475,7 @@ def _cmd_simulate(args) -> int:
     # reports nothing as done.
     payload: dict = {"mode": args.mode}
     display = []
+    waits = None
     if args.mode == "hitting":
         estimate = simulate_hitting_time(params, scenario.start_state, config)
         estimates = {"hitting_time_mean": estimate}
@@ -482,11 +517,7 @@ def _cmd_simulate(args) -> int:
                 _comparison_lines(estimates, _analytic_counterparts(params, scenario.t_los_min))
             )
         if args.wait_samples:
-            _write_csv(
-                out_dir / "sim_waits.csv",
-                WAITS_CSV_HEADER,
-                (f"{idx},{w!r}\n" for idx, w in (result.waits or ())),
-            )
+            waits = result.waits or ()
             display.append(f"wrote {out_dir / 'sim_waits.csv'}")
 
     payload["estimates"] = {k: est.value for k, est in sorted(estimates.items())}
@@ -504,7 +535,13 @@ def _cmd_simulate(args) -> int:
         "t_call_min": params.t_call,
         "t_service_min": params.t_service,
     }
-    _write_json(out_dir / "sim.json", payload)
+    with _staged_writes() as write:
+        if waits is not None:
+            _write_csv(
+                write, out_dir / "sim_waits.csv", WAITS_CSV_HEADER,
+                (f"{idx},{w!r}\n" for idx, w in waits),
+            )
+        _write_json(write, out_dir / "sim.json", payload)
     display.append(f"wrote {out_dir / 'sim.json'}")
     print("\n".join(display))
     return EXIT_OK
@@ -525,7 +562,12 @@ def _comparison_lines(estimates, analytic) -> list[str]:
     return lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared by every
+    later ``main`` call in the process. Sharing is safe: each parse makes
+    a fresh Namespace, every default is immutable, and the _cmd_*
+    functions look up what they call in this module at call time."""
     parser = argparse.ArgumentParser(
         prog="ambuq",
         description="Queueing analytics and fleet sizing for M-server ambulance services",

@@ -200,14 +200,21 @@ def gamma_wait_density(t, k_ahead, params):
 def _split(t0: float, t1: float, warmup: float, horizon: float, batch_len: float):
     """Pieces of [t0, t1) clipped to the measurement window, keyed by batch.
 
-    The batch index steps forward from one piece to the next, never
-    recomputed from a rounded edge, and the last batch ends at the horizon.
+    Batch b covers [warmup + b * batch_len, warmup + (b + 1) * batch_len),
+    the last ending at the horizon. The first batch is estimated by
+    division and then moved until its edges enclose ``lo``, since near an
+    edge the rounded quotient can be one batch off; from there the index
+    steps forward from one piece to the next, never recomputed.
     """
     lo = t0 if t0 > warmup else warmup
     hi = t1 if t1 < horizon else horizon
     if lo >= hi:
         return
-    b = int((lo - warmup) / batch_len)
+    b = min(int((lo - warmup) / batch_len), N_BATCHES - 1)
+    while b > 0 and lo < warmup + b * batch_len:
+        b -= 1
+    while b < N_BATCHES - 1 and lo >= warmup + (b + 1) * batch_len:
+        b += 1
     while True:
         if b >= N_BATCHES - 1:
             yield N_BATCHES - 1, hi - lo

@@ -11,7 +11,7 @@ from ambuq import (
     mfpt_critical_profile,
     stationary_profile,
 )
-from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _write_lines, main
+from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _write_lines, build_parser, main
 from ambuq.params import MAX_FLEET
 from ambuq.simulate import MAX_REPLICATIONS
 
@@ -439,6 +439,10 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, config):
         (("simulate", *BASE, "--servers", 6, "--seed", 1, "--warmup", 100, "--horizon-min", 3100,
           "--wait-samples", "--compare"), "sim.json"),
         (("mfpt", *BASE, "--servers", 6), "mfpt.json"),
+        (("simulate", *BASE, "--servers", 6, "--seed", 1, "--warmup", 100, "--horizon-min", 3100,
+          "--wait-samples"), "sim.json"),
+        (("mfpt", *BASE, "--servers", "6,7", "--t-call-grid", "10..12:0.5"), "mfpt_sweep.csv"),
+        (("analyze", *BASE, "--servers", "5,7", "--stationary-csv"), "stationary_M7.csv"),
     ],
 )
 def test_failed_last_write_exits_2_and_reports_nothing(tmp_path, capsys, argv, last):
@@ -451,6 +455,50 @@ def test_failed_last_write_exits_2_and_reports_nothing(tmp_path, capsys, argv, l
     assert err.startswith(f"error: cannot write {out_dir / last}")
     assert list(tmp_path.rglob("*.tmp")) == []
     assert (out_dir / last).is_dir()
+    # the files renamed into place before the failure are removed again
+    assert written(out_dir) == [last]
+
+
+def test_main_is_reentrant(tmp_path, capsys):
+    # the parser is built once per process, so no parse may leave a trace
+    # in the next: each command below runs again after calls that set the
+    # flags it leaves out, and must print and write the same bytes
+    commands = {
+        "analyze": ("analyze", *BASE, "--servers", "6,7"),
+        "simulate": ("simulate", *BASE, "--servers", 6, "--seed", 1, "--warmup", 100,
+                     "--horizon-min", 3100),
+        "size": ("size", *BASE, "--servers", 1, "--occup-max", 0.05),
+    }
+
+    def outputs(argv, out_dir):
+        assert run(*argv, "--out-dir", out_dir) == 0
+        out = capsys.readouterr().out.replace(str(out_dir), "OUT")
+        return out, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    first = {name: outputs(argv, tmp_path / name) for name, argv in commands.items()}
+    others = tmp_path / "others"
+    assert run("analyze", *BASE, "--servers", 6, "--hours", "--stationary-csv",
+               "--out-dir", others) == 0
+    assert run("simulate", *BASE, "--servers", 6, "--seed", 2, "--mode", "hitting",
+               "--compare", "--replications", 50, "--out-dir", others) == 0
+    assert run("simulate", *BASE, "--servers", 6, "--seed", 2, "--warmup", 100,
+               "--horizon-min", 2100, "--compare", "--out-dir", others) == 0
+    assert run("size", *BASE, "--servers", 1, "--occup-max", 0.05, "--m-max", 5,
+               "--out-dir", others) == 4
+    with pytest.raises(SystemExit) as refused:
+        run("analyze", *BASE, "--servers", 6, "--no-such-flag", "--out-dir", others)
+    assert refused.value.code == 2
+    capsys.readouterr()
+    for name, argv in commands.items():
+        assert outputs(argv, tmp_path / f"{name}_again") == first[name]
+    assert build_parser() is build_parser()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "analyze" in helps[0]
 
 
 def test_writer_removes_its_temp_file_when_the_lines_fail(tmp_path):

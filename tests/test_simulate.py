@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import tracemalloc
@@ -165,6 +166,45 @@ def test_split_steps_past_rounded_batch_edges():
     assert [b for b, _ in pieces] == list(range(N_BATCHES))
     assert all(seg > 0.0 for _, seg in pieces)
     assert sum(seg for _, seg in pieces) == pytest.approx(horizon - warmup, rel=1e-15)
+
+
+def near_edge_windows():
+    """Measurement windows: fixed ones whose edges round awkwardly, one
+    whose edges round together, and seeded random ones at many scales."""
+    rng = np.random.default_rng(20)
+    windows = [(1000.0, 21000.0), (1000.1, 20000.3), (3e7, 30000000.0000003)]
+    for _ in range(100):
+        warmup = float(rng.uniform(0.0, 10.0 ** rng.uniform(0, 7)))
+        windows.append((warmup, warmup + float(10.0 ** rng.uniform(-3, 7))))
+    return windows
+
+
+def test_split_assigns_points_near_edges_to_the_batch_their_edges_give():
+    # the eight floats around each batch edge start and end pieces; the
+    # edges are those of _Batches, so the oracle and the fold agree
+    for warmup, horizon in near_edge_windows():
+        batch_len = (horizon - warmup) / N_BATCHES
+        edges = _Batches(warmup, horizon).bounds[1:-1].tolist()
+        assert edges == [warmup + k * batch_len for k in range(1, N_BATCHES)]
+        points = set()
+        for edge in edges:
+            below = above = edge
+            points.add(edge)
+            for _ in range(4):
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                points.update((below, above))
+        points = sorted(p for p in points if warmup <= p < horizon)
+        for i, lo in enumerate(points):
+            for hi in (math.nextafter(lo, math.inf), *points[i + 4:i + 5], horizon):
+                pieces = list(_split(lo, hi, warmup, horizon, batch_len))
+                batches = [b for b, _ in pieces]
+                first = bisect.bisect_right(edges, lo)
+                last = bisect.bisect_right(edges, math.nextafter(hi, -math.inf))
+                assert batches == list(range(first, last + 1)), (warmup, horizon, lo, hi)
+                assert all(seg >= 0.0 for _, seg in pieces), (warmup, horizon, lo, hi)
+                assert math.fsum(seg for _, seg in pieces) == pytest.approx(
+                    hi - lo, rel=1e-12, abs=0.0
+                ), (warmup, horizon, lo, hi)
 
 
 def random_path(seed, lo, horizon, events, start_state):
