@@ -30,6 +30,7 @@ from .steady_state import (
     QueueStats,
     StationaryProfile,
     p_occupation,
+    p_occupation_by_fleet,
     queue_conditional_pmf,
     queue_stats,
     stationary_profile,
@@ -60,6 +61,7 @@ __all__ = [
     "mfpt_sweep",
     "min_fleet",
     "p_occupation",
+    "p_occupation_by_fleet",
     "p_server_busy",
     "queue_conditional_pmf",
     "queue_stats",

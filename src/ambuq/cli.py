@@ -28,6 +28,7 @@ from .simulate import SimConfig, simulate_hitting_time, simulate_stationary
 from .sizing import SizingQuery, min_fleet
 from .steady_state import (
     p_occupation,
+    p_occupation_by_fleet,
     queue_conditional_pmf,
     queue_stats,
     stationary_csv_length,
@@ -196,12 +197,13 @@ def _staged_writes():
     """The one file writer, for every file of one command. It yields
     ``write(path, lines)``, which puts the lines in full in a sibling .tmp
     file; when the block ends, each .tmp file is renamed over its path in
-    the order written, so a reader never sees a partial file. If anything
-    fails first, in a write, the block or a rename, every .tmp file and
-    every file already renamed is removed, so a command leaves all its
-    files or none. An OSError, such as an --out-dir naming a regular file,
-    becomes a ParameterError naming the path."""
-    staged: list[tuple[Path, Path]] = []
+    the order first written, so a reader never sees a partial file; a path
+    written twice keeps its last lines. If anything fails first, in a
+    write, the block or a rename, every .tmp file and every file already
+    renamed is removed, so a command leaves all its files or none. An
+    OSError, such as an --out-dir naming a regular file, becomes a
+    ParameterError naming the path."""
+    staged: dict[Path, Path] = {}  # path -> its .tmp file
     renamed: list[Path] = []
     failing = None
 
@@ -209,20 +211,20 @@ def _staged_writes():
         nonlocal failing
         failing = path
         # staged before the .tmp file is made, so a partial one is removed
-        staged.append((path.with_name(path.name + ".tmp"), path))
+        tmp = staged.setdefault(path, path.with_name(path.name + ".tmp"))
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(staged[-1][0], "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
         failing = None
 
     try:
         yield write
-        for tmp, path in staged:
+        for path, tmp in staged.items():
             failing = path
             os.replace(tmp, path)
             renamed.append(path)
     except BaseException as exc:
-        for leftover in itertools.chain(renamed, (tmp for tmp, _ in staged)):
+        for leftover in itertools.chain(renamed, staged.values()):
             with contextlib.suppress(OSError):
                 leftover.unlink()
         if isinstance(exc, OSError) and failing is not None:
@@ -280,19 +282,28 @@ def _cmd_analyze(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
 
-    # Every fleet is checked before any file is written, and the summary is
-    # printed after the last write, so a refusal leaves no partial output.
+    # Every fleet is checked, in the order given, before any file is written,
+    # and the summary is printed after the last write, so a refusal leaves
+    # no partial output.
     checked = []
+    rhos = []
+    for m in scenario.servers:
+        params = _params_for(scenario, m)
+        rhos.append(require_steady_state(params).rho)
+        if args.stationary_csv:
+            stationary_csv_length(params)  # refuses an over-long dump
+        checked.append(params)
+    occups = p_occupation_by_fleet(
+        scenario.t_call_min, scenario.t_service_min, scenario.servers
+    )
+
     reports = []
     summary_lines = []
     display = []
-    for m in scenario.servers:
-        params = _params_for(scenario, m)
-        rho = require_steady_state(params).rho
-        if args.stationary_csv:
-            stationary_csv_length(params)  # refuses an over-long dump
-        report = full_report(params, scenario.t_los_min, scenario.cost_per_attention)
-        checked.append(params)
+    for m, params, rho, occup in zip(scenario.servers, checked, rhos, occups):
+        report = full_report(
+            params, scenario.t_los_min, scenario.cost_per_attention, p_occup=occup
+        )
         reports.append(report.to_dict())
         stats = queue_stats(params)
         summary_lines.append(
@@ -353,7 +364,8 @@ def _cmd_mfpt(args) -> int:
     if scenario.t_call_grid is not None:
         rows = mfpt_sweep(scenario.t_service_min, scenario.servers, scenario.t_call_grid)
         for t_call, m, mean_time in rows:
-            _require_finite(mean_time, f"sweep mean time for servers={m}, t_call={t_call:g}")
+            if not math.isfinite(mean_time):  # checked first: the message costs more
+                _require_finite(mean_time, f"sweep mean time for servers={m}, t_call={t_call:g}")
 
     with _staged_writes() as write:
         _write_json(write, out_dir / "mfpt.json", profiles[0] if len(profiles) == 1 else profiles)

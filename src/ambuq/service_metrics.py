@@ -10,7 +10,7 @@ likely consumer error.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .params import SystemParams, as_real, require_steady_state
 from .steady_state import p_occupation
@@ -39,7 +39,8 @@ class ServiceReport:
     cost_per_attention: float
 
     def to_dict(self) -> dict[str, float]:
-        return asdict(self)
+        # every field is a float, so a shallow copy is dataclasses.asdict
+        return dict(self.__dict__)
 
 
 def _wait_rate(params: SystemParams) -> float:
@@ -102,16 +103,20 @@ def full_report(
     params: SystemParams,
     t_los: float = 30.0,
     cost_per_attention: float = 0.0,
+    *,
+    p_occup: float | None = None,
 ) -> ServiceReport:
     """Assemble every service metric into one record.
 
     Each quantity is computed once and reused so the cross-field identities
     (mean_wait * wait_rate = 1, throughput = mu * M * p_busy) hold exactly.
+    ``p_occup``, when given, must equal ``p_occupation(params)``, as each
+    value of ``p_occupation_by_fleet`` does; the recurrence is then skipped.
     """
     t_los = as_real(t_los, "t_los")
     cost_per_attention = as_real(cost_per_attention, "cost_per_attention")
     rate = _wait_rate(params)
-    occup = p_occupation(params)
+    occup = p_occupation(params) if p_occup is None else p_occup
     busy = p_server_busy(params)
     mean_wait_min = 1.0 / rate
     return ServiceReport(

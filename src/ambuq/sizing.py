@@ -19,6 +19,7 @@ from typing import Iterator
 from .errors import NoSteadyStateError, ParameterError
 from .mfpt import _offsets
 from .params import MAX_FLEET, SystemParams, as_int, as_real, derive, stability_bound
+from .steady_state import _erlang_b
 
 # The scan calls none of these; perfbench/tracing.py wraps them by name here.
 from .mfpt import mfpt_critical_profile
@@ -94,9 +95,7 @@ def _metric_by_fleet(kind: str, params: SystemParams, t_los: float | None) -> It
                 yield weighted / (k + 1)
     else:
         mu = params.service_rate
-        blocking = 1.0
-        for n in range(1, params.servers):
-            blocking = a * blocking / (n + a * blocking)
+        blocking = _erlang_b(a, [params.servers - 1])[0]
         for m in count(params.servers):
             blocking = a * blocking / (m + a * blocking)
             rho = a / m

@@ -1,7 +1,8 @@
 """Stationary occupancy distribution, occupation probability, queue-length law.
 
 The all-busy probability comes from the Erlang-B recurrence
-(``p_occupation``). The distribution below the fleet size is built
+(``p_occupation``, or ``p_occupation_by_fleet`` for several fleets from one
+pass). The distribution below the fleet size is built
 outwards from its mode; at and above the fleet size the tail is exactly
 geometric with ratio rho, so the tail is kept symbolic as (pi_M, rho)
 rather than materialized.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ParameterError
 from .params import SystemParams, as_int, derive, require_steady_state
@@ -22,6 +24,40 @@ ILL_CONDITIONING_BAND = 1e-9
 # Most rows a stationary CSV may hold. The tail down to 1e-9 mass takes
 # about 20.7 / (1 - rho) rows, so this refuses rho within about 2e-5 of 1.
 MAX_CSV_ROWS = 10**6
+
+# Erlang-B steps between two checks for a blocking value that underflowed
+# to 0; a check at every step would cost more than the steps it saves.
+_UNDERFLOW_CHECK = 256
+
+
+def _erlang_b(a: float, fleets: Sequence[int]) -> list[float]:
+    """Erlang-B blocking B(m) at offered load a for each fleet m >= 0.
+
+    One ascending pass of B(n) = a B(n-1) / (n + a B(n-1)), B(0) = 1, read
+    off at each fleet; the fleets may be unsorted or repeated. The product
+    a B(n-1) is rounded once and used twice, which changes no bit of the
+    quotient. Once B is exactly 0.0, every later value is too
+    (a * 0.0 / (n + 0.0) = 0.0), so the pass stops there, checking every
+    _UNDERFLOW_CHECK steps.
+    """
+    values = [0.0] * len(fleets)
+    blocking = 1.0
+    n = 0
+    for i in sorted(range(len(fleets)), key=fleets.__getitem__):
+        m = fleets[i]
+        while n < m and blocking != 0.0:
+            stop = min(m, n + _UNDERFLOW_CHECK)
+            for k in range(n + 1, stop + 1):
+                carried = a * blocking
+                blocking = carried / (k + carried)
+            n = stop
+        values[i] = blocking
+    return values
+
+
+def _occupations(a: float, fleets: Sequence[int], rhos: Sequence[float]) -> list[float]:
+    """The queueing form B(M) / (1 - rho (1 - B(M))) at each fleet M."""
+    return [b / (1.0 - rho * (1.0 - b)) for b, rho in zip(_erlang_b(a, fleets), rhos)]
 
 
 def _occupancy_weights(params: SystemParams) -> tuple[list[float], float, float]:
@@ -95,11 +131,28 @@ def p_occupation(params: SystemParams) -> float:
     B(M) / (1 - rho (1 - B(M))). Numerically stable for any fleet size.
     """
     d = require_steady_state(params)
-    a = d.offered_load
-    blocking = 1.0
-    for n in range(1, params.servers + 1):
-        blocking = a * blocking / (n + a * blocking)
-    return blocking / (1.0 - d.rho * (1.0 - blocking))
+    return _occupations(d.offered_load, [params.servers], [d.rho])[0]
+
+
+def p_occupation_by_fleet(
+    t_call: float, t_service: float, fleets: Sequence[int]
+) -> list[float]:
+    """``p_occupation`` at each fleet size in ``fleets``, from one Erlang-B
+    pass. Each value equals what ``p_occupation`` returns at that fleet;
+    the fleets may be unsorted or repeated. The fleets are checked in the
+    order given, and the first that ``p_occupation`` would refuse raises
+    the same error.
+    """
+    servers = []
+    rhos = []
+    a = 0.0
+    for m in fleets:
+        params = SystemParams(t_call=t_call, t_service=t_service, servers=m)
+        d = require_steady_state(params)
+        servers.append(params.servers)
+        rhos.append(d.rho)
+        a = d.offered_load
+    return _occupations(a, servers, rhos)
 
 
 def queue_conditional_pmf(params: SystemParams, k: int) -> float:

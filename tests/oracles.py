@@ -310,6 +310,25 @@ def occupation_probability_exact(t_call, t_service, servers):
     return float((a**servers / math.factorial(servers)) / ((1 - rho) * total))
 
 
+def erlang_b_stepwise(a, servers):
+    """Erlang-B blocking B(servers) from B(0) = 1 by the plain recurrence
+    B(n) = a B(n-1) / (n + a B(n-1)): every step taken, one fleet per call,
+    no stop where B underflows. Same floating-point operations as the
+    package's shared pass, so the two must agree bit for bit."""
+    blocking = 1.0
+    for n in range(1, servers + 1):
+        blocking = a * blocking / (n + a * blocking)
+    return blocking
+
+
+def occupation_probability_stepwise(params):
+    """Occupation probability B(M) / (1 - rho (1 - B(M))) from
+    ``erlang_b_stepwise``."""
+    d = require_steady_state(params)
+    blocking = erlang_b_stepwise(d.offered_load, params.servers)
+    return blocking / (1.0 - d.rho * (1.0 - blocking))
+
+
 def wait_mixture_density(t, params, k_max=200):
     """Waiting-time density as the explicit queue-length mixture of
     fixed-shape waiting densities, truncated at k_max terms."""

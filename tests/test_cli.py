@@ -8,6 +8,7 @@ from ambuq import (
     SimConfig,
     SizingQuery,
     SystemParams,
+    full_report,
     mfpt_critical_profile,
     stationary_profile,
 )
@@ -219,6 +220,59 @@ def test_stationary_csv_row_cap(tmp_path, capsys, time_limit):
     assert code == 2
     assert "rows" in capsys.readouterr().err
     assert written(out_dir) == []
+
+
+@pytest.mark.parametrize(
+    "servers, code, err",
+    [
+        # the fleet of 2 is stable but its CSV too long; the fleet of 1 is unstable
+        ("2,1", 2, "error: stationary CSV for servers=2 at rho=0.999999 would hold "
+                   "20723259 rows, more than 1000000\n"),
+        ("1,2", 3, "error: no steady state for servers=1: rho=2 >= 1; "
+                   "minimum stable fleet is 2\n"),
+    ],
+)
+def test_analyze_refuses_the_first_bad_fleet_in_order(tmp_path, capsys, time_limit,
+                                                      servers, code, err):
+    out_dir = tmp_path / "out"
+    with time_limit(10):
+        assert run(
+            "analyze", "--t-call", 1, "--t-service", 1.999998, "--servers", servers,
+            "--stationary-csv", "--out-dir", out_dir,
+        ) == code
+    assert capsys.readouterr() == ("", err)
+    assert written(out_dir) == []
+
+
+def test_analyze_reports_equal_per_fleet_reports(tmp_path):
+    # offered load 100: B underflows to 0 below the fleet of 5000, so the
+    # shared Erlang-B pass stops early; the fleets come unsorted and repeated
+    fleets = [5000, 101, 300, 101]
+    code = run(
+        "analyze", "--t-call", 1, "--t-service", 100, "--servers", ",".join(map(str, fleets)),
+        "--t-los", 5, "--cost", 3, "--out-dir", tmp_path,
+    )
+    assert code == 0
+    reports = json.loads((tmp_path / "report.json").read_text())
+    assert reports == [
+        full_report(SystemParams(t_call=1, t_service=100, servers=m), 5.0, 3.0).to_dict()
+        for m in fleets
+    ]
+    assert reports[0]["p_occup"] == 0.0 and reports[1]["p_occup"] > 0.0
+
+
+def test_analyze_repeated_fleet_writes_identical_reports(tmp_path):
+    single, double = tmp_path / "single", tmp_path / "double"
+    assert run("analyze", *BASE, "--servers", 5, "--stationary-csv", "--out-dir", single) == 0
+    assert run("analyze", *BASE, "--servers", "5,5", "--stationary-csv", "--out-dir", double) == 0
+    reports = json.loads((double / "report.json").read_text())
+    assert reports == [json.loads((single / "report.json").read_text())] * 2
+    rows = (double / "service_summary.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[1] == rows[2]
+    # one CSV for the fleet, with the bytes the single fleet gets
+    assert written(double) == ["report.json", "service_summary.csv", "stationary_M5.csv"]
+    csv_bytes = [(out / "stationary_M5.csv").read_bytes() for out in (single, double)]
+    assert csv_bytes[0] == csv_bytes[1]
 
 
 SIM_ARGS = (

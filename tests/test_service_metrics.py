@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from ambuq import (
     level_of_service,
     mean_wait,
     p_occupation,
+    p_occupation_by_fleet,
     p_server_busy,
     queue_stats,
+    stability_bound,
     throughput,
     wait_density,
 )
@@ -187,6 +191,35 @@ def test_report_field_names():
         "p_busy", "p_occup", "throughput", "cost_rate", "cost_per_attention",
     }
     assert report.cost_rate == pytest.approx(2.0 * 0.02 * 5 / 9, rel=1e-12)
+
+
+def test_report_dict_is_asdict():
+    report = full_report(REFERENCE, t_los=30.0, cost_per_attention=2.0)
+    as_dict = report.to_dict()
+    assert list(as_dict.items()) == list(asdict(report).items())  # key order too
+    as_dict["los"] = -1.0
+    assert report.to_dict()["los"] == report.los  # a copy, not the report's own
+
+
+def test_report_with_given_occupation_is_identical():
+    # analyze passes each fleet's value from p_occupation_by_fleet; the
+    # report must be the one full_report computes on its own, to the bit
+    rng = random.Random(1999)
+    for _ in range(12):
+        a = 10 ** rng.uniform(-2, math.log10(9999))
+        t_call = rng.uniform(0.01, 30.0)
+        t_service = a * t_call
+        first = stability_bound(t_call, t_service)
+        fleets = [rng.randint(first, 10**4) for _ in range(4)] + [first, 10**4, first]
+        t_los, cost = rng.uniform(0.0, 60.0), rng.uniform(0.0, 100.0)
+        for m, occup in zip(fleets, p_occupation_by_fleet(t_call, t_service, fleets)):
+            params = SystemParams(t_call=t_call, t_service=t_service, servers=m)
+            given = full_report(params, t_los, cost, p_occup=occup)
+            computed = full_report(params, t_los, cost)
+            assert given == computed, (t_call, t_service, m)
+            assert repr(given.to_dict()) == repr(computed.to_dict())
+    with pytest.raises(TypeError):  # keyword-only
+        full_report(REFERENCE, 30.0, 0.0, p_occupation(REFERENCE))
 
 
 def test_metrics_require_steady_state():

@@ -14,6 +14,8 @@ from ambuq import (
     stability_bound,
 )
 
+from oracles import occupation_probability_stepwise
+
 
 def test_stability_answer_matches_integer_bound():
     result = min_fleet(15, 50, SizingQuery(kind="stability"))
@@ -134,6 +136,15 @@ def _brute_force(t_call, t_service, query):
     return None, best, (start, query.m_max), False
 
 
+def _stepwise_metric(kind, params, t_los):
+    """The occup or LOS metric at one fleet from the plain one-fleet recurrence."""
+    occup = occupation_probability_stepwise(params)
+    if kind == "occup_ceiling":
+        return occup
+    rate = (1.0 - derive(params).rho) * params.servers * params.service_rate
+    return 1.0 - occup * math.exp(-rate * t_los)
+
+
 def _queries(m_max):
     yield SizingQuery(kind="stability", m_max=m_max)
     for target in (0.5, 0.15, 1e-3):
@@ -157,3 +168,30 @@ def test_incremental_scan_matches_brute_force(t_call, t_service, m_max):
             assert result.predicate_value == pytest.approx(value, rel=1e-12)
         else:
             assert result.predicate_value == value, query
+        if result.found and query.kind in ("occup_ceiling", "los_target"):
+            # the scan starts from the shared Erlang-B pass; the plain
+            # recurrence must give the same value to the bit
+            params = SystemParams(t_call=t_call, t_service=t_service, servers=result.m)
+            assert result.predicate_value == _stepwise_metric(query.kind, params, query.t_los)
+
+
+@pytest.mark.parametrize("offered_load", [7000.37, 9000.61])
+def test_scan_at_large_offered_load_matches_stepwise_recurrence(offered_load):
+    # the scan starts from B(start - 1) of the shared Erlang-B pass, here
+    # about 9000 steps long; the answer and its value must be the plain
+    # recurrence's, to the bit
+    t_call, t_service = 0.02, offered_load * 0.02
+    for query in (
+        SizingQuery(kind="occup_ceiling", target=0.05, m_max=10**4),
+        SizingQuery(kind="los_target", target=0.95, t_los=0.01, m_max=10**4),
+    ):
+        result = min_fleet(t_call, t_service, query)
+        assert result.found and result.m > result.scanned[0], query
+        at, below = (
+            _stepwise_metric(
+                query.kind, SystemParams(t_call=t_call, t_service=t_service, servers=m), query.t_los
+            )
+            for m in (result.m, result.m - 1)
+        )
+        assert result.predicate_value == at, query
+        assert below > query.target if query.kind == "occup_ceiling" else below < query.target

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,18 +7,23 @@ from ambuq import (
     NoSteadyStateError,
     ParameterError,
     SystemParams,
+    derive,
     p_occupation,
+    p_occupation_by_fleet,
     queue_conditional_pmf,
     queue_stats,
+    stability_bound,
     stationary_profile,
 )
 from ambuq.cli import STATIONARY_CSV_HEADER, write_stationary_csv
-from ambuq.steady_state import stationary_csv_rows
+from ambuq.steady_state import _UNDERFLOW_CHECK, _erlang_b, stationary_csv_rows
 
 from oracles import (
     RateLadder,
+    erlang_b_stepwise,
     geometric_moments_truncated,
     occupation_probability_exact,
+    occupation_probability_stepwise,
     stationary_general,
     suggested_truncation,
 )
@@ -194,3 +200,82 @@ def test_csv_rows_reach_small_tail(tmp_path):
     assert len(lines) == len(rows) + 1
     n, pi_n = lines[1].split(",")
     assert n == "0" and float(pi_n) == pytest.approx(rows[0][1], rel=1e-15)
+
+
+def _underflow_fleet(a, top=10**4):
+    """Smallest fleet up to ``top`` whose blocking value is exactly 0.0, or None."""
+    blocking = 1.0
+    for n in range(1, top + 1):
+        blocking = a * blocking / (n + a * blocking)
+        if blocking == 0.0:
+            return n
+    return None
+
+
+def _fleet_list(rng, t_call, t_service):
+    """Stable fleets up to 10^4, shuffled, with repeats, the stability bound
+    (rho nearest 1), fleets at and around the chunk ends of the shared pass,
+    and fleets just below, at and past the one where B underflows to 0."""
+    first = stability_bound(t_call, t_service)
+    fleets = [first, first + 1, rng.randint(first, 10**4), 10**4]
+    chunk_end = _UNDERFLOW_CHECK * rng.randint(1, 10**4 // _UNDERFLOW_CHECK)
+    fleets += [m for m in (chunk_end - 1, chunk_end, chunk_end + 1) if m >= first]
+    zero = _underflow_fleet(t_service / t_call)
+    if zero is not None:
+        fleets += [m for m in (zero - 1, zero, zero + 1, zero + 300) if first <= m <= 10**4]
+    fleets += rng.sample(fleets, 3)
+    rng.shuffle(fleets)
+    return fleets
+
+
+def _occupation_cases(seed, count):
+    """(t_call, t_service, fleets): offered loads from 0.01 to about 10^4,
+    then rho = 1 - 1e-9 at the smallest fleet."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = 10 ** rng.uniform(-2, math.log10(9999))
+        t_call = rng.uniform(0.01, 30.0)
+        yield t_call, a * t_call, _fleet_list(rng, t_call, a * t_call)
+    for m in (1, 7, 300, 9999):
+        t_call = 50.0 / (m * (1.0 - 1e-9))
+        yield t_call, 50.0, _fleet_list(rng, t_call, 50.0)
+
+
+def test_occupation_by_fleet_is_bit_identical():
+    # one shared pass stopped at the underflow must give, to the bit, what
+    # the plain recurrence gives one fleet at a time
+    zeros = nonzeros = near_one = 0
+    for t_call, t_service, fleets in _occupation_cases(seed=2016, count=24):
+        values = p_occupation_by_fleet(t_call, t_service, fleets)
+        assert len(values) == len(fleets)
+        for m, value in zip(fleets, values):
+            params = SystemParams(t_call=t_call, t_service=t_service, servers=m)
+            assert value == p_occupation(params), (t_call, t_service, m)
+            assert value == occupation_probability_stepwise(params), (t_call, t_service, m)
+            zeros += value == 0.0
+            nonzeros += value != 0.0
+            near_one += derive(params).rho >= 1.0 - 2e-9
+    assert zeros and nonzeros and near_one  # the cases reach both sides of the underflow
+
+
+def test_erlang_b_pass_reads_any_fleet_order():
+    a = 123.4
+    fleets = [800, 0, 5, 256, 257, 800, 0, 10**4, 255, 5]
+    assert _underflow_fleet(a) < 800  # so 800 and 10^4 lie past the underflow
+    values = _erlang_b(a, fleets)
+    assert values == [erlang_b_stepwise(a, m) for m in fleets]
+    assert values[1] == values[6] == 1.0
+    assert values[0] == values[7] == 0.0
+    assert _erlang_b(a, []) == []
+
+
+def test_occupation_by_fleet_refuses_as_p_occupation_does():
+    assert p_occupation_by_fleet(15, 50, []) == []
+    assert p_occupation_by_fleet(15, 50, [6.0]) == [p_occupation(REFERENCE)]
+    # the first fleet in the order given that p_occupation refuses decides
+    with pytest.raises(NoSteadyStateError, match="servers=3: rho=1.11111"):
+        p_occupation_by_fleet(15, 50, [6, 3, 0])
+    with pytest.raises(ParameterError, match="servers must be an integer >= 1, got 0"):
+        p_occupation_by_fleet(15, 50, [6, 0, 3])
+    with pytest.raises(ParameterError, match="servers must be an integer"):
+        p_occupation_by_fleet(15, 50, [6, 6.5])
