@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import NoSteadyStateError, ParameterError
 from .mfpt import mfpt_critical_profile, mfpt_sweep
-from .params import SystemParams, as_int, as_real, derive, require_steady_state
+from .params import SystemParams, as_int, as_real, derive, is_stable, require_steady_state
 from .service_metrics import full_report, mean_wait
 from .simulate import SimConfig, simulate_hitting_time, simulate_stationary
 from .sizing import SizingQuery, min_fleet
@@ -468,7 +468,7 @@ def _cmd_simulate(args) -> int:
         seed = int.from_bytes(os.urandom(8), "big")
         print(f"note: no seed given, using {seed}", file=sys.stderr)
 
-    as_int(args.workers, "workers", minimum=1)
+    workers = as_int(args.workers, "workers", minimum=1)
     config = SimConfig(
         seed=seed,
         replications=scenario.replications,
@@ -508,6 +508,7 @@ def _cmd_simulate(args) -> int:
             t_los=scenario.t_los_min,
             assignment=args.assignment,
             collect_waits=args.wait_samples,
+            workers=workers,
         )
         estimates = result.estimates
         payload["per_server_busy"] = list(result.per_server_busy)
@@ -518,7 +519,7 @@ def _cmd_simulate(args) -> int:
                 display.append(
                     f"{name} = {est.value:.6g} +- {est.std_error:.3g} ({est.n_samples} batches)"
                 )
-        if rho >= 1.0:
+        if not is_stable(params):
             first, last = result.batch_queue_means[0], result.batch_queue_means[-1]
             display.append(
                 f"unstable run (rho={rho:.6g}): mean queue length grew from "
@@ -631,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--start-state", dest="start_state", type=_number, help="initial calls in system")
     p_sim.add_argument(
         "--workers", type=_number, default=1,
-        help="accepted for compatibility (an integer >= 1); changes neither results nor speed",
+        help="processes for a stationary run's replications (an integer >= 1, default 1); "
+        "results are the same for every value, and hitting mode ignores it",
     )
     p_sim.add_argument("--assignment", choices=("random", "least_index"), default="random")
     p_sim.add_argument("--strict", action="store_true", help="fail unless a seed is given")

@@ -110,23 +110,55 @@ def derive(params: SystemParams) -> DerivedParams:
     return DerivedParams(gamma=mu / lam, rho=offered / params.servers, offered_load=offered)
 
 
+# derive's rho is within a few ulps of t_service / (M t_call), even from
+# subnormal rates, so farther than this from 1 it lies on the exact side.
+_RHO_GUARD = 1e-12
+
+
+def _min_stable_fleet(t_call: float, t_service: float) -> int:
+    """floor(t_service / t_call) + 1, exact: the smallest M with
+    t_service < M * t_call, from the floats' integer ratios."""
+    c, d = t_service.as_integer_ratio()
+    a, b = t_call.as_integer_ratio()
+    return c * b // (d * a) + 1
+
+
 def stability_bound(t_call: float, t_service: float) -> int:
-    """Smallest fleet with traffic intensity below 1: floor(offered load) + 1."""
-    d = derive(SystemParams(t_call=t_call, t_service=t_service, servers=1))
-    return math.floor(d.offered_load) + 1
+    """Smallest fleet with traffic intensity below 1, decided exactly:
+    floor(t_service / t_call) + 1."""
+    params = SystemParams(t_call=t_call, t_service=t_service, servers=1)
+    return _min_stable_fleet(params.t_call, params.t_service)
+
+
+def is_stable(params: SystemParams) -> bool:
+    """Whether rho < 1, that is t_service < M * t_call, holds exactly. The
+    float rho of ``derive`` may round to 1 on either side of that edge."""
+    rho = derive(params).rho
+    if abs(rho - 1.0) > _RHO_GUARD:
+        return rho < 1.0
+    return params.servers >= _min_stable_fleet(params.t_call, params.t_service)
 
 
 def require_steady_state(params: SystemParams) -> DerivedParams:
     """``derive(params)`` for an operation that needs a steady state.
 
     Raises NoSteadyStateError, naming the smallest stable fleet, unless the
-    traffic intensity is below 1.
+    traffic intensity is below 1 (``is_stable``), and ParameterError if it
+    is but the float rho rounds to 1, which no layer can evaluate and which
+    lies far outside the supported range.
     """
     d = derive(params)
-    if not d.rho < 1.0:
+    if d.rho < 1.0 - _RHO_GUARD:
+        return d
+    if not is_stable(params):
         raise NoSteadyStateError(
             d.rho,
             f"no steady state for servers={params.servers}: rho={d.rho:.6g} >= 1; "
-            f"minimum stable fleet is {stability_bound(params.t_call, params.t_service)}",
+            f"minimum stable fleet is {_min_stable_fleet(params.t_call, params.t_service)}",
+        )
+    if not d.rho < 1.0:
+        raise ParameterError(
+            f"traffic intensity for servers={params.servers} is below 1 only by rounding "
+            f"error (rho={d.rho!r}); the supported range ends at rho = 1 - 1e-9"
         )
     return d

@@ -20,14 +20,29 @@ replication index). Hitting-time walks run in lockstep, HITTING_BLOCK
 replications to a stream keyed by (seed, block index). Per-replication
 results land in slots indexed by replication and are always reduced in
 index order, so estimates depend only on the seed and the replication
-count. Replications run one after another in the calling thread.
+count.
+
+A stationary run with ``workers`` > 1 cuts its replications into contiguous
+chunks, one per process: the caller runs the first chunk itself and forked
+children run the others, each sending its replications' results back
+through a pipe. The caller reduces them in replication order as before, so
+the results are the same bits whatever the worker count. The fork is made
+only when it pays: never for fewer than FORK_MIN_EVENTS events per process,
+never for more processes than CPUs this process may use, and never while a
+second Python thread is alive, since forking a threaded process can
+deadlock. Hitting-time runs always run in the calling process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
+import os
+import pickle
+import signal
+import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
@@ -36,7 +51,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mfpt import mfpt_critical_profile
-from .params import SystemParams, as_int, as_real, derive
+from .params import SystemParams, as_int, as_real, derive, is_stable
 from .steady_state import MAX_CSV_ROWS
 
 _MASK64 = (1 << 64) - 1
@@ -53,6 +68,11 @@ MAX_FCFS_EVENTS = 10**7
 N_BATCHES = 20
 # Events an FCFS replication buffers before folding its path into the batches.
 PATH_BLOCK = 1 << 16
+# Fewest events of a stationary run per process it is shared by. One fork and
+# its reap cost 2.3-4.2 ms in a 41-45 MB process on a shared 2-vCPU Xeon, the
+# time of 2e3-3e3 events at 1.1-1.4 us each, so a child always simulates at
+# least five times what its fork costs.
+FORK_MIN_EVENTS = 1 << 14
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -299,7 +319,7 @@ def _run_fcfs_replication(
     t_los: float,
     assignment: str,
     collect_waits: bool,
-) -> tuple[_Batches, list[float], list[tuple[int, float]]]:
+) -> tuple[_Batches, list[float], np.ndarray]:
     m = params.servers
     lam = params.arrival_rate
     mu = params.service_rate
@@ -408,8 +428,99 @@ def _run_fcfs_replication(
     ends.append(horizon)
     levels.append(n)
     fold()
+    # the logged waits in call order, as one array: 8 bytes a wait, where a
+    # (call, wait) tuple takes about 100, also in a forked worker's report
     waits.sort()
-    return record, busy, waits
+    return record, busy, np.array([wait for _, wait in waits])
+
+
+def _process_count(workers: int, replications: int, events: float) -> int:
+    """Processes to share a stationary run among: 1, the serial path, unless
+    forking is available, safe and worth its cost."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, replications, cpus, int(events // FORK_MIN_EVENTS)))
+
+
+def _fork_chunk(run, reps: range) -> tuple[int, int]:
+    """Fork a child that pickles (True, [run(rep) for rep in reps]), or
+    (False, exception), into a pipe: (child pid, read end of the pipe).
+
+    The child never returns or raises past the fork: it always leaves by
+    os._exit, so no clean-up inherited from the caller runs twice. Its
+    status is 0 only once its whole report is written; a report that
+    cannot be pickled leaves it at 1.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                report = (True, [run(rep) for rep in reps])
+            except Exception as exc:
+                report = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(report, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _unpack(pid: int, status: int, data: bytes) -> list:
+    """The results in a reaped child's report, or the exception it reported."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(f"replication worker {pid} ended without its results ({how})")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _run_replications(run, replications: int, processes: int) -> list:
+    """[run(rep) for rep in range(replications)], the replications cut into
+    ``processes`` contiguous chunks: the first runs here, each other one in
+    a forked child. Whenever this returns or raises, every child has ended
+    (killed if still running), been reaped and had its pipe closed.
+    """
+    if processes == 1:
+        return [run(rep) for rep in range(replications)]
+    bounds = [replications * i // processes for i in range(processes + 1)]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    reaped: set[int] = set()
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_chunk(run, range(lo, hi)))
+        results = [run(rep) for rep in range(bounds[1])]
+        for pid, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            results.extend(_unpack(pid, status, data))
+        return results
+    finally:
+        for pid, read_fd in children:
+            if pid not in reaped:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+            os.close(read_fd)
 
 
 def _estimate(values, seed: int) -> SimEstimate | None:
@@ -476,6 +587,7 @@ def simulate_stationary(
     t_los: float = 30.0,
     assignment: str = "random",
     collect_waits: bool = False,
+    workers: int = 1,
 ) -> StationaryResult:
     """Run the FCFS multi-server simulation and estimate the steady-state map.
 
@@ -489,11 +601,14 @@ def simulate_stationary(
     per replication. If rho >= 1 the run proceeds anyway with a warning;
     the estimates then describe a growing transient, not a steady state.
 
-    A run is refused before it starts when it would simulate more than
+    Up to ``workers`` processes share the replications (see the module
+    notes); the result is the same whatever ``workers`` is. A run is
+    refused before it starts when it would simulate more than
     MAX_FCFS_EVENTS events or log more than MAX_CSV_ROWS waits.
     """
     if assignment not in ("random", "least_index"):
         raise ParameterError(f"assignment must be 'random' or 'least_index', got {assignment!r}")
+    workers = as_int(workers, "workers", minimum=1)
     t_los = as_real(t_los, "t_los")
     cfg = config.resolved(params)
     m = params.servers
@@ -509,24 +624,23 @@ def simulate_stationary(
     rows = cfg.replications * (cfg.horizon - cfg.warmup) * lam
     if collect_waits and not rows <= MAX_CSV_ROWS:
         raise ParameterError(f"wait log would hold about {rows:.3g} rows, more than {MAX_CSV_ROWS}")
-    rho = derive(params).rho
-    if rho >= 1.0:
+    if not is_stable(params):
         warnings.warn(
-            f"traffic intensity rho={rho:.6g} >= 1: no steady state exists; "
+            f"traffic intensity rho={derive(params).rho:.6g} >= 1: no steady state exists; "
             "the queue grows without bound and estimates describe the transient",
             stacklevel=2,
         )
 
+    results = _run_replications(
+        lambda rep: _run_fcfs_replication(params, cfg, rep, t_los, assignment, collect_waits),
+        cfg.replications,
+        _process_count(workers, cfg.replications, events),
+    )
     records: list[_Batches] = []
     per_server = [0.0] * m
-    merged_waits: list[float] = []
-    for rep in range(cfg.replications):
-        record, rep_busy, rep_waits = _run_fcfs_replication(
-            params, cfg, rep, t_los, assignment, collect_waits
-        )
+    for record, rep_busy, _ in results:
         records.append(record)
         per_server = [a + b for a, b in zip(per_server, rep_busy)]
-        merged_waits.extend(wait for _, wait in rep_waits)
 
     batch_len = (cfg.horizon - cfg.warmup) / N_BATCHES
     histograms = [h for record in records for h in record.histograms]
@@ -544,5 +658,6 @@ def simulate_stationary(
         estimates={name: est for name, est in estimates.items() if est is not None},
         per_server_busy=tuple(busy / total_time for busy in per_server),
         batch_queue_means=batch_queue_means,
-        waits=tuple(enumerate(merged_waits)) if collect_waits else None,
+        waits=tuple(enumerate(np.concatenate([w for _, _, w in results]).tolist()))
+        if collect_waits else None,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
-from .errors import NoSteadyStateError, ParameterError
+from .errors import ParameterError
 from .mfpt import _offsets
 from .params import MAX_FLEET, SystemParams, as_int, as_real, derive, stability_bound
 from .steady_state import _erlang_b
@@ -80,8 +80,9 @@ class SizingResult:
 def _metric_by_fleet(kind: str, params: SystemParams, t_los: float | None) -> Iterator[float]:
     """The query's metric at fleets params.servers, params.servers + 1, ...
 
-    Raises NoSteadyStateError, as p_occupation does, if an occupation or LOS
-    value is asked for at a fleet with traffic intensity >= 1.
+    The scan starts at the exact stability bound. Where the float rho of
+    that first fleet still rounds to 1, its occupation and LOS come out as
+    their limits at rho = 1, within rounding: 1 and 0.
     """
     a = derive(params).offered_load
     if kind == "stability":
@@ -99,8 +100,6 @@ def _metric_by_fleet(kind: str, params: SystemParams, t_los: float | None) -> It
         for m in count(params.servers):
             blocking = a * blocking / (m + a * blocking)
             rho = a / m
-            if not rho < 1.0:
-                raise NoSteadyStateError(rho)
             occup = blocking / (1.0 - rho * (1.0 - blocking))
             if kind == "occup_ceiling":
                 yield occup
@@ -123,8 +122,7 @@ def min_fleet(t_call: float, t_service: float, query: SizingQuery) -> SizingResu
     best = None
     for m, value in zip(range(start, query.m_max + 1), values):
         if query.kind == "stability":
-            ok = value < 1.0
-            better = best is None or value < best
+            ok = better = True  # the scan starts at the exact stability bound
         elif query.kind == "occup_ceiling":
             ok = value <= query.target
             better = best is None or value < best

@@ -7,6 +7,7 @@ The Monte-Carlo criteria use pinned seeds and take a couple of minutes.
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -272,15 +273,23 @@ def test_criterion_8_figure_data_regeneration(tmp_path):
     )
 
 
-def test_criterion_9_simulation_determinism(tmp_path):
+def test_criterion_9_simulation_determinism(tmp_path, monkeypatch):
+    # four replications of about 17300 events each, so --workers 4 shares them
+    # among four processes; the CPU count is pinned so that holds on any host
     args = [
         "simulate", "--t-call", "15", "--t-service", "50", "--servers", "6",
-        "--seed", "42", "--replications", "2", "--warmup", "1000", "--horizon-min", "51000",
+        "--seed", "42", "--replications", "4", "--warmup", "1000", "--horizon-min", "121000",
     ]
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     out_a, out_b, out_c = (tmp_path / name for name in ("a", "b", "c"))
     assert main(args + ["--workers", "1", "--out-dir", str(out_a)]) == 0
     assert main(args + ["--workers", "1", "--out-dir", str(out_b)]) == 0
+    assert forks == []
     assert main(args + ["--workers", "4", "--out-dir", str(out_c)]) == 0
+    assert len(forks) == 3, "--workers 4 must run three replications in forked processes"
     bytes_a = (out_a / "sim.json").read_bytes()
     assert bytes_a == (out_b / "sim.json").read_bytes(), "same seed must reproduce byte-identical JSON"
     assert bytes_a == (out_c / "sim.json").read_bytes(), "worker count must not change estimates"

@@ -145,6 +145,26 @@ def test_size_stability(tmp_path):
     assert sizing["kind"] == "stability"
 
 
+def test_stability_verdicts_at_unit_intensity(tmp_path, capsys, monkeypatch):
+    # t_service = M * t_call exactly: rho is 1, though its float may round below
+    exact = ("--t-call", 3, "--t-service", 45)
+    assert run("analyze", *exact, "--servers", 15, "--out-dir", tmp_path / "a") == 3
+    assert "minimum stable fleet is 16" in capsys.readouterr().err
+    assert run("size", *exact, "--servers", 1, "--stability", "--out-dir", tmp_path / "s") == 0
+    assert json.loads((tmp_path / "s" / "sizing.json").read_text())["m"] == 16
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated or forked before the stability check")
+
+    monkeypatch.setattr("os.fork", never)
+    monkeypatch.setattr("ambuq.simulate._run_fcfs_replication", never)
+    out_dir = tmp_path / "sim"
+    code = run("simulate", *exact, "--servers", 15, "--compare", "--seed", 1, "--workers", 2,
+               "--out-dir", out_dir)
+    assert code == 3
+    assert written(out_dir) == []
+
+
 def test_size_occupation_ceiling(tmp_path):
     assert run("size", *BASE, "--servers", 1, "--occup-max", 0.15, "--out-dir", tmp_path) == 0
     sizing = json.loads((tmp_path / "sizing.json").read_text())

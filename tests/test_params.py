@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from ambuq import ParameterError, SystemParams, derive
-from ambuq.params import as_int, as_real
+from ambuq import NoSteadyStateError, ParameterError, SystemParams, derive, stability_bound
+from ambuq.params import as_int, as_real, is_stable, require_steady_state
 
 from oracles import RateLadder
 
@@ -45,6 +46,37 @@ def test_stability_iff_offered_load_below_servers():
     ]:
         d = derive(SystemParams(t_call, t_service, servers))
         assert (d.rho < 1.0) == (d.offered_load < servers)
+
+
+def edge_cases():
+    """t_service at M * t_call and one float either side, over an integer grid
+    and at times whose rates are subnormal: (t_call, t_service, servers)."""
+    grid = [(t_call, servers) for t_call in range(1, 61) for servers in range(1, 40)]
+    for t_call, servers in grid + [(1e308, 1), (1.7e308, 1), (5e307, 3)]:
+        edge = servers * t_call
+        for t_service in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+            yield t_call, t_service, servers
+
+
+def test_stability_is_decided_exactly_at_the_edge():
+    rounded_wrong = 0
+    for t_call, t_service, servers in edge_cases():
+        exact = Fraction(t_service) < servers * Fraction(t_call)
+        params = SystemParams(t_call, t_service, servers)
+        assert is_stable(params) == exact, (t_call, t_service, servers)
+        assert stability_bound(t_call, t_service) == math.floor(Fraction(t_service) / t_call) + 1
+        rounded_wrong += (derive(params).rho < 1.0) != exact
+    assert rounded_wrong > 0  # the float rho alone gets some of these wrong
+
+
+def test_steady_state_guard_at_the_edge():
+    with pytest.raises(NoSteadyStateError, match="minimum stable fleet is 16"):
+        require_steady_state(SystemParams(3, 45, 15))
+    # stable, but rho rounds to 1: refused as outside the supported range
+    params = SystemParams(1, math.nextafter(13.0, 0.0), 13)
+    assert is_stable(params) and derive(params).rho == 1.0
+    with pytest.raises(ParameterError, match="only by rounding error"):
+        require_steady_state(params)
 
 
 def test_rate_roundtrip_from_rates():

@@ -26,6 +26,22 @@ def test_stability_answer_matches_integer_bound():
     assert derive(SystemParams(t_call=15, t_service=50, servers=3)).rho > 1.0
 
 
+def test_scans_start_at_the_exact_stability_bound():
+    # t_service = 45 = 15 * 3 exactly: 15 vehicles are overloaded, whatever
+    # the float rho says
+    assert min_fleet(3, 45, SizingQuery(kind="stability")).m == 16
+    # one float below 13 * 1: 13 vehicles are stable, though the float rho is
+    # 1, so the scans start there and read its occupation as 1 and LOS as 0
+    t_service = math.nextafter(13.0, 0.0)
+    assert derive(SystemParams(t_call=1, t_service=t_service, servers=13)).rho == 1.0
+    stable = min_fleet(1, t_service, SizingQuery(kind="stability"))
+    assert (stable.m, stable.scanned) == (13, (13, 13))
+    occup = min_fleet(1, t_service, SizingQuery(kind="occup_ceiling", target=0.9))
+    assert (occup.m, occup.scanned) == (14, (13, 14))
+    los = min_fleet(1, t_service, SizingQuery(kind="los_target", target=0.5, t_los=30, m_max=13))
+    assert not los.found and los.predicate_value == pytest.approx(0.0, abs=1e-15)
+
+
 @pytest.mark.parametrize(
     "t_call, t_service",
     [(15, 50), (25, 50), (1, 1), (7.5, 90), (40, 35)],
