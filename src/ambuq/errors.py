@@ -14,3 +14,7 @@ class NoSteadyStateError(ValueError):
             message
             or f"no steady state: traffic intensity rho={rho:.6g} is not below 1"
         )
+
+    def __reduce__(self):
+        # args hold only the message, so the default would pass it as rho
+        return type(self), (self.rho, str(self))

@@ -16,11 +16,11 @@ Per-server busy time comes from the service spans themselves, clipped to
 the measurement window.
 
 Every FCFS replication owns a counter-based Philox stream keyed by (seed,
-replication index). Hitting-time walks run in lockstep, HITTING_BLOCK
-replications to a stream keyed by (seed, block index). Per-replication
-results land in slots indexed by replication and are always reduced in
-index order, so estimates depend only on the seed and the replication
-count.
+replication index). Hitting-time walks are sampled level by level from
+their local times, HITTING_BLOCK replications to a stream keyed by (seed,
+block index). Per-replication results land in slots indexed by
+replication and are always reduced in index order, so estimates depend
+only on the seed and the replication count.
 
 A stationary run with ``workers`` > 1 cuts its replications into contiguous
 chunks, one per process: the caller runs the first chunk itself and forked
@@ -59,8 +59,8 @@ _DRAW_BLOCK = 1024
 HITTING_BLOCK = 1024
 MAX_REPLICATIONS = 10**7
 # Most steps a hitting-time run may be expected to take: T(start) x (lambda +
-# M mu) per walk, an upper bound, times the replications in whole blocks, as a
-# block costs about the same per step (20-70 us) with one walk or 1024.
+# M mu) per walk, an upper bound, times the replications in whole blocks. It
+# keeps the visit counts, and so every Poisson mean, far below numpy's 9.2e18.
 MAX_HITTING_STEPS = 10**8
 # Most events a stationary run may simulate, 12-17 s at the 1.2-1.7 us per event
 # measured for a 4.8e6-event run on a shared 2-vCPU Xeon.
@@ -177,28 +177,28 @@ def _hitting_times(
 
     Replications are cut into blocks of HITTING_BLOCK (the last may be
     shorter) and block b draws from the stream keyed by (seed, b), so the
-    times of a whole block depend only on the seed and b. The walks of a
-    block advance in lockstep: each step draws one exponential and then one
-    uniform per walk still active, in replication order, and a walk retires
-    as soon as it reaches ``target``.
+    times of a whole block depend only on the seed and b. In level n's own
+    clock, up-jumps form a rate-lam Poisson process and down-jumps a rate-mu n
+    one, independent of each other and of other levels. So, from target - 1
+    down, a walk that leaves n upwards u_n times (once more than it comes
+    down from n + 1 at or above the start, as often below it) spends tau_n =
+    Gamma(u_n) / lam at n and comes down from it Poisson(mu n tau_n) times:
+    one gamma and one Poisson draw per walk and visited level, not per step.
     """
-    times = np.empty(replications)
+    blocks = []
     for first in range(0, replications, HITTING_BLOCK):
         gen = _stream(seed, first // HITTING_BLOCK)
-        slots = np.arange(first, min(first + HITTING_BLOCK, replications))
-        t = np.zeros(slots.size)
-        n = np.full(slots.size, start_state)
-        while slots.size:
-            # n <= target - 1 <= M while active, so the down rate needs no cap;
-            # at n = 0 the uniform test always steps up
-            total = lam + mu * n
-            t += gen.standard_exponential(slots.size) / total
-            n += np.where(gen.random(slots.size) * total < lam, 1, -1)
-            active = n != target
-            if not active.all():
-                times[slots[~active]] = t[~active]
-                slots, t, n = slots[active], t[active], n[active]
-    return times
+        t = np.zeros(min(HITTING_BLOCK, replications - first))
+        down = 0  # each walk's jumps down from the level above
+        for n in range(target - 1, -1, -1):
+            up = down + (n >= start_state)
+            if not np.any(up):
+                break
+            tau = gen.standard_gamma(up, t.size) / lam
+            t += tau
+            down = gen.poisson(mu * n * tau)
+        blocks.append(t)
+    return np.concatenate(blocks)
 
 
 def simulate_hitting_time(
@@ -208,13 +208,12 @@ def simulate_hitting_time(
 ) -> SimEstimate:
     """Estimate the mean time to first enter state M+1 from ``start_state``.
 
-    Simulates the occupancy jump chain directly: exponential holding times
-    at the total rate out of the current state, then an up/down step with
-    probability proportional to the corresponding rate. The standard error
-    is the plain replication-variance estimate. A run whose expected step
-    count may exceed MAX_HITTING_STEPS is refused before it starts.
+    Each walk is the sum of its local times at the levels it visits (see
+    _hitting_times), and the standard error is the plain replication-variance
+    estimate. A run whose expected step count may exceed MAX_HITTING_STEPS is
+    refused before it starts.
     """
-    m = params.servers
+    m, lam, mu = params.servers, params.arrival_rate, params.service_rate
     start_state = as_int(start_state, "start_state", minimum=0)
     if start_state > m:
         raise ParameterError(
@@ -222,19 +221,14 @@ def simulate_hitting_time(
             f"got {start_state!r}"
         )
     walks = math.ceil(config.replications / HITTING_BLOCK) * HITTING_BLOCK
-    steps = walks * mfpt_critical_profile(params).times[start_state] * (
-        params.arrival_rate + m * params.service_rate
-    )
+    steps = walks * mfpt_critical_profile(params).times[start_state] * (lam + m * mu)
     if not steps <= MAX_HITTING_STEPS:
         raise ParameterError(
             f"hitting-time run from state {start_state} would take about {steps:.3g} steps "
             f"({walks} walks, whole blocks, x T(start) x (lambda + M mu)), "
             f"more than {MAX_HITTING_STEPS:.0e}"
         )
-    times = _hitting_times(
-        params.arrival_rate, params.service_rate, start_state, m + 1,
-        config.seed, config.replications,
-    )
+    times = _hitting_times(lam, mu, start_state, m + 1, config.seed, config.replications)
     return _estimate(times, config.seed)
 
 

@@ -5,7 +5,8 @@ checks: a full dense solve instead of banded elimination, exact rational
 arithmetic instead of floating recurrences, raw series summation instead
 of closed forms, the nested closed form instead of the one-term recurrence,
 the summed stationary average instead of the identity it collapses to,
-one scalar walk per replication instead of walks run in lockstep.
+one scalar jump-chain walk per replication instead of a sum of per-level
+local times.
 
 The reference routes for an arbitrary birth-death ladder live here as well:
 the nested sum/product hitting time, the structured tridiagonal solve, the

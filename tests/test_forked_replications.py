@@ -6,13 +6,14 @@ the children each run starts.
 """
 
 import os
+import pickle
 import signal
 import threading
 import time
 
 import pytest
 
-from ambuq import ParameterError, SimConfig, SystemParams, simulate_stationary
+from ambuq import NoSteadyStateError, ParameterError, SimConfig, SystemParams, simulate_stationary
 from ambuq import simulate
 from ambuq.cli import main
 from ambuq.simulate import FORK_MIN_EVENTS
@@ -102,6 +103,27 @@ def test_a_child_exception_reaches_the_caller_with_its_type(tmp_path, capsys, mo
     assert run(*SIM_ARGS, "--replications", 2, "--workers", 2, "--out-dir", out_dir) == 2
     assert "refused in a worker" in capsys.readouterr().err
     assert written(out_dir) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_steady_state_error_survives_pickling():
+    for error in (NoSteadyStateError(1.0, "msg"), NoSteadyStateError(1.25)):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is NoSteadyStateError
+        assert (copy.rho, str(copy)) == (error.rho, str(error))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_no_steady_state_error_reaches_the_caller():
+    def run(rep):
+        if rep == 1:  # the second chunk, run in the child
+            raise NoSteadyStateError(1.25, "no steady state in a worker")
+        return rep
+
+    with pytest.raises(NoSteadyStateError, match="in a worker") as caught:
+        simulate._run_replications(run, 2, 2)
+    assert caught.value.rho == 1.25
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

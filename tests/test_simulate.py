@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from ambuq import (
     ParameterError,
@@ -21,6 +22,7 @@ from ambuq import (
     stationary_profile,
 )
 from ambuq.simulate import (
+    FORK_MIN_EVENTS,
     HITTING_BLOCK,
     MAX_FCFS_EVENTS,
     MAX_HITTING_STEPS,
@@ -103,7 +105,7 @@ def test_hitting_time_deterministic_across_runs_and_workers():
     "servers, rho, start, seed",
     [(1, 1.0, 0, 41), (6, 0.6, 3, 43), (12, 1.4, 6, 47)],
 )
-def test_lockstep_kernel_matches_scalar_walk(servers, rho, start, seed):
+def test_level_sampler_matches_scalar_walk(servers, rho, start, seed):
     params = SystemParams(t_call=10.0, t_service=10.0 * rho * servers, servers=servers)
     replications = 3000
     kernel = simulate_hitting_time(params, start, SimConfig(seed=seed, replications=replications))
@@ -111,6 +113,22 @@ def test_lockstep_kernel_matches_scalar_walk(servers, rho, start, seed):
     scalar_se = scalar.std(ddof=1) / math.sqrt(replications)
     z = (kernel.value - scalar.mean()) / math.hypot(kernel.std_error, scalar_se)
     assert abs(z) <= 4.0
+
+
+@pytest.mark.parametrize(
+    "servers, rho, start, seed",
+    # one server; rho < 1 with the levels below the start visited; rho > 1 at M = 12
+    [(1, 0.8, 1, 51), (4, 0.5, 3, 53), (12, 1.2, 0, 59)],
+)
+def test_level_sampler_matches_scalar_walk_in_distribution(servers, rho, start, seed):
+    # the two-sample Kolmogorov-Smirnov test sees the whole law, not just the mean
+    params = SystemParams(t_call=10.0, t_service=10.0 * rho * servers, servers=servers)
+    replications = 3000
+    kernel = _hitting_times(
+        params.arrival_rate, params.service_rate, start, servers + 1, seed, replications
+    )
+    scalar = hitting_times_scalar(params, start, seed + 1000, replications)
+    assert ks_2samp(kernel, scalar).pvalue > 0.01
 
 
 def test_hitting_blocks_are_fixed():
@@ -140,8 +158,8 @@ def test_hitting_run_over_the_step_budget_is_refused(time_limit):
 
 
 def test_hitting_budget_counts_whole_blocks(monkeypatch, time_limit):
-    # one walk costs about as much per step as a full block, so M = 13 is
-    # charged 1024 walks of about 1.9e5 steps each and refused at once
+    # one walk is charged as a whole block, so M = 13 is charged 1024 walks
+    # of about 1.9e5 steps each and refused at once
     with time_limit(1):
         with pytest.raises(ParameterError, match="1024 walks"):
             simulate_hitting_time(
@@ -153,6 +171,16 @@ def test_hitting_budget_counts_whole_blocks(monkeypatch, time_limit):
     charged = HITTING_BLOCK * mfpt_critical_profile(params).times[0] * (1 / 15 + 12 / 50)
     assert 4e7 < charged < MAX_HITTING_STEPS
     assert simulate_hitting_time(params, 0, SimConfig(seed=1, replications=1)).value == 1.0
+
+
+def test_heaviest_admitted_single_walk_runs_quickly(time_limit):
+    # M = 12 is charged about 4.7e7 steps for one walk of about 4.6e4 steps,
+    # which the level sampler draws in 13 levels
+    params = SystemParams(t_call=15, t_service=50, servers=12)
+    with time_limit(1):
+        estimate = simulate_hitting_time(params, 0, SimConfig(seed=1, replications=1))
+    assert math.isfinite(estimate.value) and estimate.value > 0.0
+    assert (estimate.std_error, estimate.n_samples) == (0.0, 1)
 
 
 def test_split_steps_past_rounded_batch_edges():
@@ -417,6 +445,14 @@ def test_stationary_deterministic_across_workers():
     again = simulate_stationary(REFERENCE, SHORT, t_los=30.0)
     assert base.estimates == again.estimates
     assert base.per_server_busy == again.per_server_busy
+    # two replications of over 17400 events each, enough for two processes
+    cfg = SimConfig(seed=7, replications=2, warmup=1000.0, horizon=131000.0)
+    assert FORK_MIN_EVENTS < 131000.0 * 2 / 15
+    serial = simulate_stationary(REFERENCE, cfg, workers=1)
+    shared = simulate_stationary(REFERENCE, cfg, workers=2)
+    assert serial.estimates == shared.estimates
+    assert serial.per_server_busy == shared.per_server_busy
+    assert serial.batch_queue_means == shared.batch_queue_means
 
 
 def test_stationary_multi_replication_merge():
