@@ -5,15 +5,22 @@ Two simulations are available: the full FCFS multi-server system
 must agree with the analytic one, and the occupancy walk's first passage
 to saturation, whose mean must agree with the saturation time.
 
-An FCFS replication's event loop only draws, moves calls and appends to
-flat buffers: the end time and occupancy n of each path segment, each
-departure time after warmup, and the arrival time and wait of each queued
-call. Every PATH_BLOCK events, and once more at the horizon, numpy folds
-the buffers into one occupancy histogram per batch (time spent at each n)
-and per-batch completion and wait tallies, so the buffers stay bounded
-however long the run. Every time average is read off the histograms.
-Per-server busy time comes from the service spans themselves, clipped to
-the measurement window.
+An FCFS replication steps the birth-death chain of the occupancy n. With
+k = min(n, M) vehicles busy and exponential service, the next event comes
+after an Exp(lambda + k mu) time, and it is an arrival with probability
+lambda / (lambda + k mu); a departure comes from a uniformly chosen busy
+vehicle. So each event takes one exponential and one uniform draw, and no
+service end is drawn ahead. A departure hands the vehicle to the queue
+head, if there is one; otherwise that vehicle goes idle. The loop only
+draws, moves calls and appends to flat buffers: the end time and
+occupancy n of each path segment, each departure time after warmup, and
+the arrival time and wait of each queued call. Every PATH_BLOCK events,
+and once more at the horizon, numpy folds the buffers into one occupancy
+histogram per batch (time spent at each n) and per-batch completion and
+wait tallies, so the buffers stay bounded however long the run. Every
+time average is read off the histograms. Per-server busy time is booked
+per busy period, clipped to the measurement window: when the vehicle goes
+idle, or at the horizon if it is still busy.
 
 Every FCFS replication owns a counter-based Philox stream keyed by (seed,
 replication index). Hitting-time walks are sampled level by level from
@@ -35,8 +42,8 @@ deadlock. Hitting-time runs always run in the calling process.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
-import heapq
 import itertools
 import math
 import os
@@ -62,16 +69,16 @@ MAX_REPLICATIONS = 10**7
 # M mu) per walk, an upper bound, times the replications in whole blocks. It
 # keeps the visit counts, and so every Poisson mean, far below numpy's 9.2e18.
 MAX_HITTING_STEPS = 10**8
-# Most events a stationary run may simulate, 12-17 s at the 1.2-1.7 us per event
-# measured for a 4.8e6-event run on a shared 2-vCPU Xeon.
+# Most events a stationary run may simulate, 9-10 s at the 0.91-0.94 us per
+# event measured for a 4.8e6-event run on a shared 2-vCPU Xeon.
 MAX_FCFS_EVENTS = 10**7
 N_BATCHES = 20
 # Events an FCFS replication buffers before folding its path into the batches.
 PATH_BLOCK = 1 << 16
 # Fewest events of a stationary run per process it is shared by. One fork and
-# its reap cost 2.3-4.2 ms in a 41-45 MB process on a shared 2-vCPU Xeon, the
-# time of 2e3-3e3 events at 1.1-1.4 us each, so a child always simulates at
-# least five times what its fork costs.
+# its reap cost 2.6-3.2 ms in a 45 MB process on a shared 2-vCPU Xeon, the
+# time of 2.8e3-3.5e3 events at 0.91-0.94 us each, so a child always
+# simulates at least 4.5 times what its fork costs.
 FORK_MIN_EVENTS = 1 << 14
 
 
@@ -79,39 +86,6 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     """The Philox stream keyed by (seed, replication or block index)."""
     key = ((seed & _MASK64) << 64) | (index & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-class _Draws:
-    """Blockwise exponential/uniform draws from one replication's stream.
-
-    Blocks are converted to plain Python floats up front so everything
-    downstream stays in native arithmetic.
-    """
-
-    __slots__ = ("_gen", "_exp", "_uni", "_ie", "_iu")
-
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._exp = gen.standard_exponential(_DRAW_BLOCK).tolist()
-        self._uni = gen.random(_DRAW_BLOCK).tolist()
-        self._ie = 0
-        self._iu = 0
-
-    def exponential(self) -> float:
-        if self._ie == _DRAW_BLOCK:
-            self._exp = self._gen.standard_exponential(_DRAW_BLOCK).tolist()
-            self._ie = 0
-        value = self._exp[self._ie]
-        self._ie += 1
-        return value
-
-    def uniform(self) -> float:
-        if self._iu == _DRAW_BLOCK:
-            self._uni = self._gen.random(_DRAW_BLOCK).tolist()
-            self._iu = 0
-        value = self._uni[self._iu]
-        self._iu += 1
-        return value
 
 
 @dataclass(frozen=True)
@@ -320,16 +294,33 @@ def _run_fcfs_replication(
     warmup = config.warmup
     horizon = config.horizon
     record = _Batches(warmup, horizon)
-    draws = _Draws(_stream(config.seed, rep))
+    gen = _stream(config.seed, rep)
     block = PATH_BLOCK
+    pick_random = assignment == "random"
 
-    idle = list(range(m))
-    busy = [0.0] * m
-    departures: list[tuple[float, int]] = []  # heap of (time, server)
-    queue: deque[tuple[float, int]] = deque()  # (arrival time, call index)
-    waits: list[tuple[int, float]] = []
+    # With k = min(n, M) vehicles busy the next event comes after an
+    # Exp(lam + k mu) time and is an arrival with probability p_k = lam /
+    # (lam + k mu); a uniform u decides, and what is left of it picks the
+    # vehicle: u / p_k among the idle ones on an arrival, (u - p_k) / (1 -
+    # p_k) among the busy ones on a departure, since each busy vehicle is as
+    # likely as any other to finish first. pick_idle[k] = (M - k) / p_k and
+    # pick_busy[k] = k / (1 - p_k) turn those remainders into list indices.
+    rates = [lam + k * mu for k in range(m + 1)]
+    scale = [1.0 / r for r in rates]
+    p_arrival = [lam / r for r in rates]
+    pick_idle = [(m - k) * r / lam for k, r in enumerate(rates)]
+    pick_busy = [r / mu for r in rates]
+
     n = config.start_state
-    call_index = 0
+    k = min(n, m)
+    # the first k calls start in service on the low-index vehicles at t = 0
+    busy_ids = list(range(k))
+    idle = list(range(k, m))
+    began = [0.0] * m  # start of each busy vehicle's busy period
+    busy = [0.0] * m
+    queue = deque(itertools.repeat(0.0, n - k))  # arrival times, FCFS
+    unlogged = n - k  # calls queued at t = 0 are never logged as waits
+    waits: list[float] = []
 
     # The path since the last fold: segment end times and the occupancy
     # during each segment, departure times after warmup, and the arrival
@@ -348,84 +339,94 @@ def _run_fcfs_replication(
         for buffer in (ends, levels, done, arrivals, queued_waits):
             buffer.clear()
 
-    def serve(server: int, start: float) -> None:
-        end = start + draws.exponential() / mu
-        heapq.heappush(departures, (end, server))
-        span = (end if end < horizon else horizon) - (start if start > warmup else warmup)
-        if span > 0.0:
-            busy[server] += span
-
-    # Seed the initial state: start_state calls present at t=0, the first
-    # min(start_state, m) already in service on the low-index servers.
-    for _ in range(min(n, m)):
-        serve(idle.pop(0), 0.0)
-    queue.extend(itertools.repeat((0.0, -1), n - m))
-
-    next_arrival = draws.exponential() / lam
-    pick_random = assignment == "random"
-
+    t = 0.0
+    exps: list[float] = []
+    uniforms: list[float] = []
+    i = 0  # the next unused draw
     while True:
-        t_dep = departures[0][0] if departures else math.inf
-        t = next_arrival if next_arrival <= t_dep else t_dep
-        if t >= horizon:
-            break
-        ends.append(t)
-        levels.append(n)
-
-        if next_arrival <= t_dep:
-            # arrival: schedule the next one, then dispatch or queue
-            next_arrival = t + draws.exponential() / lam
-            index = call_index if t >= warmup else -1
-            if t >= warmup:
-                call_index += 1
-            if idle:
-                # the assignment draw is consumed under both policies so the
-                # occupancy path is identical; only the chosen server differs
-                u = draws.uniform()
-                if pick_random:
-                    pick = int(u * len(idle))
-                    if pick >= len(idle):
-                        pick = len(idle) - 1
-                    server = idle.pop(pick)
+        if i == len(exps):
+            exps = gen.standard_exponential(_DRAW_BLOCK).tolist()
+            uniforms = gen.random(_DRAW_BLOCK).tolist()
+            i = 0
+        # the events up to the next fold, or to the end of the draws
+        j = min(i + block - len(ends), len(exps))
+        for e, u in zip(exps[i:j], uniforms[i:j]):
+            t += e * scale[k]
+            if t >= horizon:
+                break
+            ends.append(t)
+            levels.append(n)
+            p = p_arrival[k]
+            if u < p:
+                # arrival: dispatch it to an idle vehicle or queue it
+                n += 1
+                if k < m:
+                    if pick_random:
+                        server = idle.pop()
+                        pick = int(u * pick_idle[k])
+                        if pick < len(idle):
+                            idle[pick], server = server, idle[pick]
+                    else:
+                        server = idle.pop(0)
+                    busy_ids.append(server)
+                    began[server] = t
+                    k += 1
+                    if collect_waits and t >= warmup:
+                        waits.append(0.0)
                 else:
-                    server = min(idle)
-                    idle.remove(server)
-                serve(server, t)
-                if collect_waits and index >= 0:
-                    waits.append((index, 0.0))
+                    queue.append(t)
             else:
-                queue.append((t, index))
-            n += 1
+                # departure: the queue head takes over the vehicle, or a
+                # uniformly chosen busy vehicle goes idle
+                n -= 1
+                if t >= warmup:
+                    done.append(t)
+                if queue:
+                    arrival = queue.popleft()
+                    # only queued calls count toward the conditional wait
+                    # statistics; immediate dispatches wait zero and appear
+                    # only in the call log
+                    if arrival >= warmup:
+                        arrivals.append(arrival)
+                        queued_waits.append(t - arrival)
+                    if collect_waits:
+                        if unlogged:
+                            unlogged -= 1
+                        elif arrival >= warmup:
+                            waits.append(t - arrival)
+                else:
+                    pick = int((u - p) * pick_busy[k])
+                    server = busy_ids.pop()
+                    if pick < len(busy_ids):
+                        busy_ids[pick], server = server, busy_ids[pick]
+                    k -= 1
+                    start = began[server]
+                    span = t - (start if start > warmup else warmup)
+                    if span > 0.0:
+                        busy[server] += span
+                    if pick_random:
+                        idle.append(server)
+                    else:
+                        bisect.insort(idle, server)
         else:
-            # departure: free the server or hand it the queue head
-            _, server = heapq.heappop(departures)
-            n -= 1
-            if t >= warmup:
-                done.append(t)
-            if queue:
-                arrival, index = queue.popleft()
-                wait = t - arrival
-                # only queued calls count toward the conditional wait statistics;
-                # immediate dispatches wait zero and appear only in the call log
-                if arrival >= warmup:
-                    arrivals.append(arrival)
-                    queued_waits.append(wait)
-                if collect_waits and index >= 0:
-                    waits.append((index, wait))
-                serve(server, t)
-            else:
-                idle.append(server)
-        if len(ends) >= block:
-            fold()
-            since = t
+            i = j
+            if len(ends) >= block:
+                fold()
+                since = t
+            continue
+        break  # the horizon came first
 
     ends.append(horizon)
     levels.append(n)
     fold()
-    # the logged waits in call order, as one array: 8 bytes a wait, where a
-    # (call, wait) tuple takes about 100, also in a forked worker's report
-    waits.sort()
-    return record, busy, np.array([wait for _, wait in waits])
+    for server in busy_ids:
+        start = began[server]
+        span = horizon - (start if start > warmup else warmup)
+        if span > 0.0:
+            busy[server] += span
+    # FCFS starts services in call order, so the log is in call order: 8
+    # bytes a wait as one array, also in a forked worker's report
+    return record, busy, np.array(waits)
 
 
 def _process_count(workers: int, replications: int, events: float) -> int:
@@ -522,7 +523,16 @@ def _estimate(values, seed: int) -> SimEstimate | None:
         return None
     arr = np.array(values, dtype=float)
     value = float(arr.mean())
-    std_error = float(arr.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    std_error = 0.0
+    if len(values) > 1:
+        with np.errstate(over="ignore"):
+            std = arr.std(ddof=1)
+        if not math.isfinite(std) and np.isfinite(arr).all():
+            # the squared deviations overflowed, not the spread: take it in
+            # units of the largest magnitude
+            top = np.abs(arr).max()
+            std = (arr / top).std(ddof=1) * top
+        std_error = float(std / math.sqrt(len(values)))
     return SimEstimate(value=value, std_error=std_error, n_samples=len(values), seed=seed)
 
 
@@ -534,27 +544,28 @@ def _occupancy_estimates(
     queue lengths, all read off the per-batch histograms (lo, occ), occ[i]
     the time at n = lo + i: FCFS keeps min(n, M) servers busy."""
     m = servers
-
-    def at(lo: int, occ: np.ndarray, n: int) -> float:
-        return float(occ[n - lo]) if lo <= n < lo + occ.size else 0.0
-
+    # time[b, n]: batch b's time at n, for the levels n <= M + 10 any estimate reads
+    width = m + 10 + 1
+    time = np.zeros((len(histograms), width))
     occup, queue_area, busy = [], [], []
-    for lo, occ in histograms:
+    for b, (lo, occ) in enumerate(histograms):
         levels = np.arange(lo, lo + occ.size)
         occup.append(float(occ[max(m - lo, 0):].sum()))
         queue_area.append(float((np.maximum(levels - m, 0) * occ).sum()))
         busy.append(float((np.minimum(levels, m) * occ).sum()))
-    estimates = {
-        f"pi_{n}": _estimate([at(lo, occ, n) / batch_len for lo, occ in histograms], seed)
-        for n in range(m + 5 + 1)
-    }
+        if lo < width:
+            time[b, lo:lo + occ.size] = occ[:width - lo]
+    pi = time[:, :m + 5 + 1] / batch_len
+    estimates = {f"pi_{n}": _estimate(pi[:, n], seed) for n in range(m + 5 + 1)}
     estimates["p_occup"] = _estimate([t / batch_len for t in occup], seed)
-    occupied = [(h, t, q) for h, t, q in zip(histograms, occup, queue_area) if t > 0.0]
+    occup_time = np.array(occup)
+    occupied = occup_time > 0.0
+    cond = time[occupied, m:] / occup_time[occupied, None]
     for k in range(10 + 1):
-        estimates[f"cond_queue_{k}"] = _estimate(
-            [at(lo, occ, m + k) / t for (lo, occ), t, _ in occupied], seed
-        )
-    estimates["mean_queue_len_conditional"] = _estimate([q / t for _, t, q in occupied], seed)
+        estimates[f"cond_queue_{k}"] = _estimate(cond[:, k], seed)
+    estimates["mean_queue_len_conditional"] = _estimate(
+        [q / t for t, q in zip(occup, queue_area) if t > 0.0], seed
+    )
     estimates["p_busy_per_server"] = _estimate([b / (m * batch_len) for b in busy], seed)
     return estimates, tuple(q / batch_len for q in queue_area)
 
@@ -588,8 +599,8 @@ def simulate_stationary(
     Calls arrive as a Poisson stream, each service is exponential, the queue
     is first-come first-served, and arrivals finding several idle servers
     are assigned to one uniformly at random (``assignment="least_index"``
-    picks the lowest index instead, for sensitivity checks; it consumes the
-    same draws so the occupancy path is unchanged).
+    picks the lowest index instead, for sensitivity checks; the pick takes
+    no draw of its own, so the occupancy path is unchanged).
 
     Standard errors come from batch means over 20 equal post-warmup windows
     per replication. If rho >= 1 the run proceeds anyway with a warning;

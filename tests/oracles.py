@@ -6,30 +6,36 @@ arithmetic instead of floating recurrences, raw series summation instead
 of closed forms, the nested closed form instead of the one-term recurrence,
 the summed stationary average instead of the identity it collapses to,
 one scalar jump-chain walk per replication instead of a sum of per-level
-local times.
+local times, a drawn service time per call and a heap of service ends
+instead of the occupancy chain's one draw pair per event.
 
 The reference routes for an arbitrary birth-death ladder live here as well:
 the nested sum/product hitting time, the structured tridiagonal solve, the
 truncated product-form stationary law, the Gamma waiting-time density, the
-bare occupancy jump chain and the segment-by-segment batch split of an
+heap-driven FCFS system and the segment-by-segment batch split of an
 occupancy path. The package computes each of these
 quantities one way only; these are the second ways.
 """
 
+import heapq
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 
-from ambuq import NoSteadyStateError, ParameterError, derive, queue_conditional_pmf
+from ambuq import NoSteadyStateError, ParameterError, derive, queue_conditional_pmf, simulate_stationary
 from ambuq.params import as_int, as_real, require_steady_state
 from ambuq.simulate import (
+    _DRAW_BLOCK,
     N_BATCHES,
+    PATH_BLOCK,
     _Batches,
-    _Draws,
-    _occupancy_estimates,
+    _estimate,
     _stream,
 )
 
@@ -244,43 +250,173 @@ def split_histograms(start, ends, levels, warmup, horizon):
     return histograms
 
 
-def _run_jump_replication(params, config, rep):
+class _Draws:
+    """Blockwise exponential/uniform draws from one replication's stream.
+
+    Blocks are converted to plain Python floats up front so everything
+    downstream stays in native arithmetic.
+    """
+
+    __slots__ = ("_gen", "_exp", "_uni", "_ie", "_iu")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._exp = gen.standard_exponential(_DRAW_BLOCK).tolist()
+        self._uni = gen.random(_DRAW_BLOCK).tolist()
+        self._ie = 0
+        self._iu = 0
+
+    def exponential(self) -> float:
+        if self._ie == _DRAW_BLOCK:
+            self._exp = self._gen.standard_exponential(_DRAW_BLOCK).tolist()
+            self._ie = 0
+        value = self._exp[self._ie]
+        self._ie += 1
+        return value
+
+    def uniform(self) -> float:
+        if self._iu == _DRAW_BLOCK:
+            self._uni = self._gen.random(_DRAW_BLOCK).tolist()
+            self._iu = 0
+        value = self._uni[self._iu]
+        self._iu += 1
+        return value
+
+
+def run_heap_fcfs_replication(params, config, rep, t_los, assignment, collect_waits):
+    """One FCFS replication with a drawn service time per call and a heap
+    of pending service ends, in place of the package's occupancy chain.
+
+    Same signature and results as ``ambuq.simulate._run_fcfs_replication``:
+    the batches, each vehicle's busy time booked per service when it starts,
+    and the logged waits in call order.
+    """
     m = params.servers
     lam = params.arrival_rate
     mu = params.service_rate
+    warmup = config.warmup
     horizon = config.horizon
+    record = _Batches(warmup, horizon)
     draws = _Draws(_stream(config.seed, rep))
 
-    ends, levels = [], []
-    t = 0.0
+    idle = list(range(m))
+    busy = [0.0] * m
+    departures = []  # heap of (time, server)
+    queue = deque()  # (arrival time, call index)
+    waits = []
     n = config.start_state
-    while t < horizon:
-        down = mu * (n if n < m else m) if n >= 1 else 0.0
-        total = lam + down
-        t = t + draws.exponential() / total
-        ends.append(t if t < horizon else horizon)
-        levels.append(n)
+    call_index = 0
+
+    ends, levels, done, arrivals, queued_waits = [], [], [], [], []
+    since = 0.0
+
+    def fold():
+        record.fold_path(since, ends, levels)
+        record.fold_departures(done)
+        record.fold_waits(arrivals, queued_waits, t_los)
+        for buffer in (ends, levels, done, arrivals, queued_waits):
+            buffer.clear()
+
+    def serve(server, start):
+        end = start + draws.exponential() / mu
+        heapq.heappush(departures, (end, server))
+        span = (end if end < horizon else horizon) - (start if start > warmup else warmup)
+        if span > 0.0:
+            busy[server] += span
+
+    # start_state calls present at t=0, the first min(start_state, m)
+    # already in service on the low-index servers
+    for _ in range(min(n, m)):
+        serve(idle.pop(0), 0.0)
+    queue.extend(itertools.repeat((0.0, -1), n - m))
+
+    next_arrival = draws.exponential() / lam
+    while True:
+        t_dep = departures[0][0] if departures else math.inf
+        t = next_arrival if next_arrival <= t_dep else t_dep
         if t >= horizon:
             break
-        if draws.uniform() * total < lam:
+        ends.append(t)
+        levels.append(n)
+        if next_arrival <= t_dep:
+            next_arrival = t + draws.exponential() / lam
+            index = call_index if t >= warmup else -1
+            if t >= warmup:
+                call_index += 1
+            if idle:
+                u = draws.uniform()
+                if assignment == "random":
+                    server = idle.pop(min(int(u * len(idle)), len(idle) - 1))
+                else:
+                    server = min(idle)
+                    idle.remove(server)
+                serve(server, t)
+                if collect_waits and index >= 0:
+                    waits.append((index, 0.0))
+            else:
+                queue.append((t, index))
             n += 1
         else:
+            _, server = heapq.heappop(departures)
             n -= 1
-    record = _Batches(config.warmup, horizon)
-    record.fold_path(0.0, ends, levels)
-    return record.histograms
+            if t >= warmup:
+                done.append(t)
+            if queue:
+                arrival, index = queue.popleft()
+                if arrival >= warmup:
+                    arrivals.append(arrival)
+                    queued_waits.append(t - arrival)
+                if collect_waits and index >= 0:
+                    waits.append((index, t - arrival))
+                serve(server, t)
+            else:
+                idle.append(server)
+        if len(ends) >= PATH_BLOCK:
+            fold()
+            since = t
+
+    ends.append(horizon)
+    levels.append(n)
+    fold()
+    waits.sort()
+    return record, busy, np.array([wait for _, wait in waits])
 
 
-def simulate_jump_occupancy(params, config):
-    """Occupancy estimates from the bare jump chain, for cross-validation
-    against the FCFS system (same estimator, same batching)."""
-    cfg = config.resolved(params)
-    histograms = []
-    for rep in range(cfg.replications):
-        histograms.extend(_run_jump_replication(params, cfg, rep))
-    batch_len = (cfg.horizon - cfg.warmup) / N_BATCHES
-    estimates, _ = _occupancy_estimates(histograms, params.servers, batch_len, cfg.seed)
-    return {name: est for name, est in estimates.items() if est is not None}
+def simulate_heap_fcfs(params, config, **kwargs):
+    """``simulate_stationary`` with every replication run by
+    ``run_heap_fcfs_replication``: same estimators, same batching."""
+    with mock.patch("ambuq.simulate._run_fcfs_replication", run_heap_fcfs_replication):
+        return simulate_stationary(params, config, **kwargs)
+
+
+def occupancy_estimates_per_quantity(histograms, servers, batch_len, seed):
+    """``ambuq.simulate._occupancy_estimates`` read one quantity and one
+    batch at a time: each pi_n and cond_queue_k value is looked up in its
+    batch's histogram on its own, not sliced out of one per-batch matrix."""
+    m = servers
+
+    def at(lo, occ, n):
+        return float(occ[n - lo]) if lo <= n < lo + occ.size else 0.0
+
+    occup, queue_area, busy = [], [], []
+    for lo, occ in histograms:
+        levels = np.arange(lo, lo + occ.size)
+        occup.append(float(occ[max(m - lo, 0):].sum()))
+        queue_area.append(float((np.maximum(levels - m, 0) * occ).sum()))
+        busy.append(float((np.minimum(levels, m) * occ).sum()))
+    estimates = {
+        f"pi_{n}": _estimate([at(lo, occ, n) / batch_len for lo, occ in histograms], seed)
+        for n in range(m + 5 + 1)
+    }
+    estimates["p_occup"] = _estimate([t / batch_len for t in occup], seed)
+    occupied = [(h, t, q) for h, t, q in zip(histograms, occup, queue_area) if t > 0.0]
+    for k in range(10 + 1):
+        estimates[f"cond_queue_{k}"] = _estimate(
+            [at(lo, occ, m + k) / t for (lo, occ), t, _ in occupied], seed
+        )
+    estimates["mean_queue_len_conditional"] = _estimate([q / t for _, t, q in occupied], seed)
+    estimates["p_busy_per_server"] = _estimate([b / (m * batch_len) for b in busy], seed)
+    return estimates, tuple(q / batch_len for q in queue_area)
 
 
 def hitting_times_dense(ladder, target):

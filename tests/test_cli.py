@@ -429,6 +429,18 @@ def test_simulate_hitting_mode(tmp_path, capsys):
     assert "hitting_time_mean" in capsys.readouterr().out
 
 
+def test_simulate_hitting_times_near_1e160_keep_a_finite_std_error(tmp_path):
+    # the times are finite but their squared deviations overflow
+    code = run(
+        "simulate", "--mode", "hitting", "--t-call", 1e160, "--t-service", 1e160,
+        "--servers", 1, "--replications", 1500, "--seed", 1, "--out-dir", tmp_path,
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "sim.json").read_text())
+    std_error = payload["std_errors"]["hitting_time_mean"]
+    assert math.isfinite(std_error) and std_error > 0.0
+
+
 def test_simulate_rejects_fleet_grid(tmp_path):
     assert run(
         "simulate", *BASE, "--servers", "5,6", "--seed", 1, "--out-dir", tmp_path

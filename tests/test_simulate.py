@@ -3,6 +3,8 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,10 +30,20 @@ from ambuq.simulate import (
     MAX_HITTING_STEPS,
     N_BATCHES,
     _Batches,
+    _estimate,
     _hitting_times,
+    _occupancy_estimates,
+    _run_fcfs_replication,
 )
 from ambuq.steady_state import MAX_CSV_ROWS
-from oracles import _split, hitting_times_scalar, simulate_jump_occupancy, split_histograms
+from oracles import (
+    _split,
+    hitting_times_scalar,
+    occupancy_estimates_per_quantity,
+    run_heap_fcfs_replication,
+    simulate_heap_fcfs,
+    split_histograms,
+)
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
 SHORT = SimConfig(seed=11, replications=1, warmup=2500.0, horizon=202500.0)
@@ -183,6 +195,22 @@ def test_heaviest_admitted_single_walk_runs_quickly(time_limit):
     assert (estimate.std_error, estimate.n_samples) == (0.0, 1)
 
 
+def test_estimate_of_values_near_1e300_has_a_finite_std_error():
+    values = [1e300, 2e300, 3e300, 4e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = _estimate(values, 1)
+    assert estimate.value == 2.5e300
+    expected = math.sqrt(5.0 / 3.0) * 1e300 / 2.0  # sample std 1.29e300 over sqrt(4)
+    assert estimate.std_error == pytest.approx(expected, rel=1e-15)
+    # an infinite value still gives a non-finite spread, for the caller to refuse
+    with np.errstate(invalid="ignore"):
+        assert not math.isfinite(_estimate([1.0, math.inf], 1).std_error)
+    # and where the plain spread is finite it is taken as before, bit for bit
+    plain = np.array([1e150, 3e150, 2e150])
+    assert _estimate(plain, 1).std_error == float(plain.std(ddof=1) / math.sqrt(3))
+
+
 def test_split_steps_past_rounded_batch_edges():
     # with this real-valued window a batch edge recomputed from the previous
     # cut rounds down to the batch before it, which once stalled the split
@@ -324,6 +352,42 @@ def test_stationary_estimates_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr("ambuq.simulate.PATH_BLOCK", 3)
     blocked = run()
     assert blocked == whole
+
+
+@pytest.mark.parametrize(
+    "servers, rho, start_state",
+    # ordinary; rarely saturated, so some batches never reach M; one vehicle;
+    # a queue growing far past M + 10 from a start above it
+    [(6, 0.8, 0), (12, 0.3, 0), (1, 0.7, 0), (3, 1.3, 30)],
+)
+def test_occupancy_estimates_match_the_per_quantity_route(servers, rho, start_state):
+    params = SystemParams(t_call=1.0, t_service=rho * servers, servers=servers)
+    config = SimConfig(seed=91, replications=2, warmup=50.0, horizon=2050.0, start_state=start_state)
+    cfg = config.resolved(params)
+    histograms = [
+        h
+        for rep in range(2)
+        for h in _run_fcfs_replication(params, cfg, rep, 30.0, "random", False)[0].histograms
+    ]
+    batch_len = 2000.0 / N_BATCHES
+    assert _occupancy_estimates(histograms, servers, batch_len, 91) == occupancy_estimates_per_quantity(
+        histograms, servers, batch_len, 91
+    )
+
+
+def test_occupancy_estimates_match_the_per_quantity_route_on_edge_histograms():
+    # a batch straddling M + 10, one wholly above it, one never occupied,
+    # and histograms that never reach M at all
+    histograms = [
+        (14, np.array([1.0, 2.0, 3.0])),
+        (30, np.array([0.5, 4.0])),
+        (0, np.array([7.0, 1.0])),
+        (2, np.array([0.25])),
+    ]
+    for subset in (histograms, histograms[2:]):
+        expected = occupancy_estimates_per_quantity(subset, 5, 10.0, 3)
+        assert _occupancy_estimates(subset, 5, 10.0, 3) == expected
+    assert expected[0]["cond_queue_0"] is None
 
 
 def test_stationary_memory_does_not_grow_with_the_run(monkeypatch):
@@ -476,20 +540,98 @@ def test_least_index_policy_shares_the_occupancy_path():
 
 
 def test_fcfs_and_jump_chain_agree():
-    fcfs = simulate_stationary(REFERENCE, SHORT, t_los=30.0)
-    jump = simulate_jump_occupancy(REFERENCE, SimConfig(seed=23, replications=1, warmup=2500.0, horizon=202500.0))
+    # the package steps the occupancy jump chain; the oracle runs the FCFS
+    # system with a heap of drawn service ends
+    fcfs = simulate_heap_fcfs(REFERENCE, SimConfig(seed=23, replications=1, warmup=2500.0, horizon=202500.0))
+    jump = simulate_stationary(REFERENCE, SHORT, t_los=30.0)
     for n in range(12):
         a = fcfs.estimates[f"pi_{n}"]
-        b = jump[f"pi_{n}"]
+        b = jump.estimates[f"pi_{n}"]
         combined = math.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) < 3.0 * combined, n
 
 
-def test_jump_chain_matches_analytics():
-    jump = simulate_jump_occupancy(REFERENCE, SimConfig(seed=29, replications=1, warmup=2500.0, horizon=402500.0))
+def test_heap_fcfs_oracle_matches_analytics():
+    heap = simulate_heap_fcfs(REFERENCE, SimConfig(seed=29, replications=1, warmup=2500.0, horizon=402500.0))
     profile = stationary_profile(REFERENCE)
     for n in range(12):
-        assert abs(zscore(jump[f"pi_{n}"], profile.pi(n))) < 3.0, n
+        assert abs(zscore(heap.estimates[f"pi_{n}"], profile.pi(n))) < 3.0, n
+
+
+def run_recording_busy(run, params, config, **kwargs):
+    """simulate_stationary with each replication run by ``run``: the result
+    and each replication's per-vehicle busy fractions, one row each."""
+    rows = []
+
+    def recording(*args):
+        result = run(*args)
+        rows.append(result[1])
+        return result
+
+    with mock.patch("ambuq.simulate._run_fcfs_replication", recording):
+        result = simulate_stationary(params, config, **kwargs)
+    cfg = config.resolved(params)
+    return result, np.array(rows) / (cfg.horizon - cfg.warmup)
+
+
+@pytest.mark.parametrize(
+    "servers, rho, start_state, assignment",
+    [
+        (6, 0.5, 0, "random"),
+        (6, 0.8, 0, "least_index"),
+        (3, 0.9, 20, "random"),  # more calls than vehicles at the start
+        (12, 0.95, 40, "least_index"),
+    ],
+)
+def test_occupancy_chain_matches_the_heap_oracle(servers, rho, start_state, assignment):
+    # the package's birth-death chain against FCFS with drawn service times
+    # and a heap of service ends, on independent streams
+    params = SystemParams(t_call=1.0, t_service=rho * servers, servers=servers)
+    window = 1500.0 / (1.0 - rho)  # 20 batches, each about one relaxation time at rho = 0.95
+    config = SimConfig(
+        seed=61, replications=8, warmup=window / 10, horizon=window * 1.1, start_state=start_state
+    )
+    chain, chain_busy = run_recording_busy(_run_fcfs_replication, params, config, assignment=assignment)
+    heap, heap_busy = run_recording_busy(
+        run_heap_fcfs_replication, params, replace(config, seed=62), assignment=assignment
+    )
+    names = [f"pi_{n}" for n in range(servers + 6)] + ["p_occup", "wait_mean_conditional"]
+    for name in names:
+        a, b = chain.estimates[name], heap.estimates[name]
+        assert abs(a.value - b.value) <= 3.0 * math.hypot(a.std_error, b.std_error), name
+    se = np.hypot(chain_busy.std(axis=0, ddof=1), heap_busy.std(axis=0, ddof=1)) / math.sqrt(8)
+    gap = np.abs(chain_busy.mean(axis=0) - heap_busy.mean(axis=0))
+    assert (gap <= 3.0 * se).all(), (gap / se).round(2).tolist()
+    assert chain_busy.mean(axis=0).sum() == pytest.approx(rho * servers, rel=0.05)
+
+
+def test_random_assignment_matches_the_heap_oracle_from_an_empty_fleet():
+    # over the first two minutes each vehicle is as likely as any other to
+    # take the first calls; long-run busy times are equal by symmetry even
+    # under a biased pick, so only the transient shows the pick's law
+    params = SystemParams(t_call=1.0, t_service=3.0, servers=6)
+    config = SimConfig(seed=81, replications=200, warmup=0.0, horizon=2.0)
+    _, chain_busy = run_recording_busy(_run_fcfs_replication, params, config)
+    _, heap_busy = run_recording_busy(run_heap_fcfs_replication, params, replace(config, seed=82))
+    se = np.hypot(chain_busy.std(axis=0, ddof=1), heap_busy.std(axis=0, ddof=1)) / math.sqrt(200)
+    gap = np.abs(chain_busy.mean(axis=0) - heap_busy.mean(axis=0))
+    assert (gap <= 3.0 * se).all(), (gap / se).round(2).tolist()
+
+
+def test_occupancy_chain_waits_match_the_heap_oracle_in_distribution():
+    # consecutive waits are correlated, so only every 80th logged call,
+    # about one relaxation time apart at rho = 0.8, enters the test
+    params = SystemParams(t_call=1.0, t_service=3.2, servers=4)
+    config = SimConfig(seed=71, replications=1, warmup=500.0, horizon=180500.0)
+    chain = simulate_stationary(params, config, collect_waits=True)
+    heap = simulate_heap_fcfs(params, replace(config, seed=72), collect_waits=True)
+    chain_waits = [w for _, w in chain.waits[::80]]
+    heap_waits = [w for _, w in heap.waits[::80]]
+    assert min(len(chain_waits), len(heap_waits)) > 2000
+    assert ks_2samp(chain_waits, heap_waits).pvalue > 0.01
+    # the queued calls alone, without the atom of immediate dispatches
+    queued = ks_2samp([w for w in chain_waits if w > 0.0], [w for w in heap_waits if w > 0.0])
+    assert queued.pvalue > 0.01
 
 
 def test_unstable_run_warns_and_grows():
