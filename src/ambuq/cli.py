@@ -552,7 +552,7 @@ def _cmd_simulate(args) -> int:
         if waits is not None:
             _write_csv(
                 write, out_dir / "sim_waits.csv", WAITS_CSV_HEADER,
-                (f"{idx},{w!r}\n" for idx, w in waits),
+                (f"{idx},{w!r}\n" for idx, w in enumerate(waits)),
             )
         _write_json(write, out_dir / "sim.json", payload)
     display.append(f"wrote {out_dir / 'sim.json'}")

@@ -11,16 +11,16 @@ after an Exp(lambda + k mu) time, and it is an arrival with probability
 lambda / (lambda + k mu); a departure comes from a uniformly chosen busy
 vehicle. So each event takes one exponential and one uniform draw, and no
 service end is drawn ahead. A departure hands the vehicle to the queue
-head, if there is one; otherwise that vehicle goes idle. The loop only
-draws, moves calls and appends to flat buffers: the end time and
-occupancy n of each path segment, each departure time after warmup, and
-the arrival time and wait of each queued call. Every PATH_BLOCK events,
-and once more at the horizon, numpy folds the buffers into one occupancy
-histogram per batch (time spent at each n) and per-batch completion and
-wait tallies, so the buffers stay bounded however long the run. Every
-time average is read off the histograms. Per-server busy time is booked
-per busy period, clipped to the measurement window: when the vehicle goes
-idle, or at the horizon if it is still busy.
+head, if there is one; otherwise that vehicle goes idle. The loop books
+each batch's tallies as the events happen: the time spent at each n (one
+occupancy histogram per batch), the completions, and the count, sum and
+number below t_los of the queued waits, each wait in its call's arrival
+batch. An event that passes a batch edge first closes the batch with the
+time up to the edge, so a run holds one open histogram and its queue,
+however long it is. Every time average is read off the histograms.
+Per-server busy time is booked per busy period, clipped to the
+measurement window: when the vehicle goes idle, or at the horizon if it
+is still busy.
 
 Every FCFS replication owns a counter-based Philox stream keyed by (seed,
 replication index). Hitting-time walks are sampled level by level from
@@ -51,8 +51,10 @@ import pickle
 import signal
 import threading
 import warnings
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,16 +71,17 @@ MAX_REPLICATIONS = 10**7
 # M mu) per walk, an upper bound, times the replications in whole blocks. It
 # keeps the visit counts, and so every Poisson mean, far below numpy's 9.2e18.
 MAX_HITTING_STEPS = 10**8
-# Most events a stationary run may simulate, 9-10 s at the 0.91-0.94 us per
-# event measured for a 4.8e6-event run on a shared 2-vCPU Xeon.
+# Most events a stationary run may simulate: 5.6-6.4 s at the 0.56-0.64 us
+# per event measured for a 4.8e6-event run on a shared 2-vCPU Xeon, and
+# 7.6-8.1 s for the worst admitted run, a queue that reaches a new occupancy
+# level at almost every event (one vehicle, t_service / t_call = 10^6, 9.9e6
+# events).
 MAX_FCFS_EVENTS = 10**7
 N_BATCHES = 20
-# Events an FCFS replication buffers before folding its path into the batches.
-PATH_BLOCK = 1 << 16
 # Fewest events of a stationary run per process it is shared by. One fork and
 # its reap cost 2.6-3.2 ms in a 45 MB process on a shared 2-vCPU Xeon, the
-# time of 2.8e3-3.5e3 events at 0.91-0.94 us each, so a child always
-# simulates at least 4.5 times what its fork costs.
+# time of 4.1e3-5.7e3 events at 0.56-0.64 us each, so a child always
+# simulates at least 2.8 times what its fork costs.
 FORK_MIN_EVENTS = 1 << 14
 
 
@@ -206,78 +209,31 @@ def simulate_hitting_time(
     return _estimate(times, config.seed)
 
 
-class _Batches:
-    """Per-batch accumulators of one replication, filled block by block.
+def _batch_edges(warmup: float, horizon: float) -> list[float]:
+    """[warmup, the N_BATCHES - 1 inner edges warmup + b * batch_len,
+    horizon]: batch b covers [edges[b], edges[b + 1]), so a time belongs to
+    the batch whose edges enclose it."""
+    inner = warmup + np.arange(1, N_BATCHES) * ((horizon - warmup) / N_BATCHES)
+    return [warmup, *inner.tolist(), horizon]
 
-    Batch b covers [bounds[b], bounds[b + 1]): the inner edges are
-    warmup + (b + 1) * batch_len and the last batch ends at the horizon. A
-    time belongs to the batch whose edges enclose it, so every per-batch
-    quantity follows one rule. histograms[b] is a pair (lo, occ) with
-    occ[i] the time spent at occupancy n = lo + i, so a histogram spans
-    only the levels its batch visited.
+
+class _Replication(NamedTuple):
+    """One FCFS replication's results.
+
+    Per batch: the occupancy histogram (lo, occ), occ[i] the time spent at
+    n = lo + i for the levels the batch visited, the completions, and the
+    count, sum and number below t_los of the waits of queued calls that
+    arrived in it. Then each vehicle's busy time in the window and the
+    logged waits in call order.
     """
 
-    __slots__ = ("bounds", "histograms", "completions", "wait_count", "wait_sum", "wait_below")
-
-    def __init__(self, warmup: float, horizon: float):
-        batch_len = (horizon - warmup) / N_BATCHES
-        inner = warmup + np.arange(1, N_BATCHES) * batch_len
-        self.bounds = np.concatenate(([warmup], inner, [horizon]))
-        self.histograms: list[tuple[int, np.ndarray]] = [(0, np.zeros(0))] * N_BATCHES
-        self.completions = np.zeros(N_BATCHES, dtype=np.int64)
-        self.wait_count = np.zeros(N_BATCHES, dtype=np.int64)
-        self.wait_sum = np.zeros(N_BATCHES)
-        self.wait_below = np.zeros(N_BATCHES, dtype=np.int64)
-
-    def _batch_of(self, times: list[float]) -> np.ndarray:
-        values = np.fromiter(times, float, len(times))
-        return np.searchsorted(self.bounds[1:-1], values, side="right")
-
-    def fold_path(self, start: float, ends: list[float], levels: list[int]) -> None:
-        """Add the path that holds levels[i] from ends[i - 1] (``start`` for
-        i = 0) to ends[i] to the histograms.
-
-        The batch bounds inside the path are inserted as extra points, so no
-        segment crosses one and each segment counts toward the batch its
-        start lies in; segments before the warmup count nowhere. Each
-        level's time accumulates in path order, continuing the sums of
-        earlier blocks.
-        """
-        points = np.fromiter(itertools.chain((start,), ends), float, len(ends) + 1)
-        n = np.fromiter(levels, np.int64, len(levels))
-        inside = self.bounds[(self.bounds > points[0]) & (self.bounds < points[-1])]
-        at = np.searchsorted(points, inside)
-        n = np.insert(n, at, n[at - 1])
-        points = np.insert(points, at, inside)
-        duration = np.diff(points)
-        cuts = np.searchsorted(points[:-1], self.bounds).tolist()
-        for b in range(N_BATCHES):
-            i, j = cuts[b], cuts[b + 1]
-            if i == j:
-                continue
-            old_lo, old = self.histograms[b]
-            low = int(n[i:j].min())
-            if old.size:
-                low = min(low, old_lo)
-            # bincount adds in input order, so the old totals go first
-            self.histograms[b] = low, np.bincount(
-                np.concatenate((np.arange(old_lo - low, old_lo - low + old.size), n[i:j] - low)),
-                weights=np.concatenate((old, duration[i:j])),
-            )
-
-    def fold_departures(self, times: list[float]) -> None:
-        """Count completions at ``times``, all in [warmup, horizon)."""
-        self.completions += np.bincount(self._batch_of(times), minlength=N_BATCHES)
-
-    def fold_waits(self, arrivals: list[float], waits: list[float], t_los: float) -> None:
-        """Add queued waits, each to the batch of its call's arrival."""
-        b = self._batch_of(arrivals)
-        w = np.fromiter(waits, float, len(waits))
-        self.wait_count += np.bincount(b, minlength=N_BATCHES)
-        self.wait_sum = np.bincount(
-            np.concatenate((np.arange(N_BATCHES), b)), weights=np.concatenate((self.wait_sum, w))
-        )
-        self.wait_below += np.bincount(b[w < t_los], minlength=N_BATCHES)
+    histograms: list[tuple[int, np.ndarray]]
+    completions: list[int]
+    wait_count: list[int]
+    wait_sum: list[float]
+    wait_below: list[int]
+    busy: list[float]
+    waits: array
 
 
 def _run_fcfs_replication(
@@ -287,15 +243,13 @@ def _run_fcfs_replication(
     t_los: float,
     assignment: str,
     collect_waits: bool,
-) -> tuple[_Batches, list[float], np.ndarray]:
+) -> _Replication:
     m = params.servers
     lam = params.arrival_rate
     mu = params.service_rate
     warmup = config.warmup
     horizon = config.horizon
-    record = _Batches(warmup, horizon)
     gen = _stream(config.seed, rep)
-    block = PATH_BLOCK
     pick_random = assignment == "random"
 
     # With k = min(n, M) vehicles busy the next event comes after an
@@ -320,113 +274,130 @@ def _run_fcfs_replication(
     busy = [0.0] * m
     queue = deque(itertools.repeat(0.0, n - k))  # arrival times, FCFS
     unlogged = n - k  # calls queued at t = 0 are never logged as waits
-    waits: list[float] = []
+    waits = array("d")
 
-    # The path since the last fold: segment end times and the occupancy
-    # during each segment, departure times after warmup, and the arrival
-    # times and waits of queued calls that arrived after warmup.
-    ends: list[float] = []
-    levels: list[int] = []
-    done: list[float] = []
-    arrivals: list[float] = []
-    queued_waits: list[float] = []
-    since = 0.0  # start of the first buffered segment
-
-    def fold() -> None:
-        record.fold_path(since, ends, levels)
-        record.fold_departures(done)
-        record.fold_waits(arrivals, queued_waits, t_los)
-        for buffer in (ends, levels, done, arrivals, queued_waits):
-            buffer.clear()
+    # Slot 0 is the warmup and slot b + 1 is batch b; slot s ends at
+    # edges[s], and the edge past the horizon is never reached. The tallies
+    # have one entry per slot, and slot 0's are dropped at the end.
+    edges = [*_batch_edges(warmup, horizon), math.inf]
+    histograms: list[tuple[int, np.ndarray]] = []
+    completions = [0] * (N_BATCHES + 1)
+    wait_count = [0] * (N_BATCHES + 1)
+    wait_sum = [0.0] * (N_BATCHES + 1)
+    wait_below = [0] * (N_BATCHES + 1)
+    # occ[n] is the open slot's time at n so far; the levels it has visited
+    # are low..high, and every other entry is 0.0
+    occ = [0.0] * (n + 1)
+    low = high = n
+    slot = 0
+    edge = edges[0]
+    prev = 0.0  # start of the open segment, which holds level n
+    # the slot of the last queued call taken from the queue: FCFS takes
+    # them in arrival order, so it only moves forward
+    wait_slot = 0
+    wait_edge = edges[0]
 
     t = 0.0
-    exps: list[float] = []
-    uniforms: list[float] = []
-    i = 0  # the next unused draw
-    while True:
-        if i == len(exps):
-            exps = gen.standard_exponential(_DRAW_BLOCK).tolist()
-            uniforms = gen.random(_DRAW_BLOCK).tolist()
-            i = 0
-        # the events up to the next fold, or to the end of the draws
-        j = min(i + block - len(ends), len(exps))
-        for e, u in zip(exps[i:j], uniforms[i:j]):
-            t += e * scale[k]
-            if t >= horizon:
-                break
-            ends.append(t)
-            levels.append(n)
-            p = p_arrival[k]
-            if u < p:
-                # arrival: dispatch it to an idle vehicle or queue it
-                n += 1
-                if k < m:
-                    if pick_random:
-                        server = idle.pop()
-                        pick = int(u * pick_idle[k])
-                        if pick < len(idle):
-                            idle[pick], server = server, idle[pick]
-                    else:
-                        server = idle.pop(0)
-                    busy_ids.append(server)
-                    began[server] = t
-                    k += 1
-                    if collect_waits and t >= warmup:
-                        waits.append(0.0)
+    draws = itertools.chain.from_iterable(
+        zip(gen.standard_exponential(_DRAW_BLOCK).tolist(), gen.random(_DRAW_BLOCK).tolist())
+        for _ in itertools.count()
+    )
+    for e, u in draws:
+        t += e * scale[k]
+        if t >= edge:
+            # the segment reaches the edge: its time up to the edge closes
+            # the slot, and the next slot opens at level n. A repeated edge
+            # opens a slot that closes empty. An event exactly on the edge
+            # leaves n before any time passes there, so that slot opens
+            # with low > high, which the event's step of one sets right.
+            while t >= edge:
+                if prev < edge:
+                    occ[n] += edge - prev
+                    if slot:
+                        histograms.append((low, np.array(occ[low:high + 1])))
+                    occ[low:high + 1] = [0.0] * (high - low + 1)
+                elif slot:
+                    histograms.append((0, np.zeros(0)))
+                prev = edge
+                slot += 1
+                edge = edges[slot]
+                low, high = (n, n) if prev < t else (n + 1, n - 1)
+            if slot > N_BATCHES:
+                break  # the horizon came first
+        occ[n] += t - prev
+        prev = t
+        p = p_arrival[k]
+        if u < p:
+            # arrival: dispatch it to an idle vehicle or queue it
+            n += 1
+            if n > high:
+                high = n
+                if n == len(occ):
+                    occ.append(0.0)
+            if k < m:
+                if pick_random:
+                    server = idle.pop()
+                    pick = int(u * pick_idle[k])
+                    if pick < len(idle):
+                        idle[pick], server = server, idle[pick]
                 else:
-                    queue.append(t)
+                    server = idle.pop(0)
+                busy_ids.append(server)
+                began[server] = t
+                k += 1
+                if collect_waits and slot:
+                    waits.append(0.0)
             else:
-                # departure: the queue head takes over the vehicle, or a
-                # uniformly chosen busy vehicle goes idle
-                n -= 1
-                if t >= warmup:
-                    done.append(t)
-                if queue:
-                    arrival = queue.popleft()
-                    # only queued calls count toward the conditional wait
-                    # statistics; immediate dispatches wait zero and appear
-                    # only in the call log
-                    if arrival >= warmup:
-                        arrivals.append(arrival)
-                        queued_waits.append(t - arrival)
-                    if collect_waits:
-                        if unlogged:
-                            unlogged -= 1
-                        elif arrival >= warmup:
-                            waits.append(t - arrival)
-                else:
-                    pick = int((u - p) * pick_busy[k])
-                    server = busy_ids.pop()
-                    if pick < len(busy_ids):
-                        busy_ids[pick], server = server, busy_ids[pick]
-                    k -= 1
-                    start = began[server]
-                    span = t - (start if start > warmup else warmup)
-                    if span > 0.0:
-                        busy[server] += span
-                    if pick_random:
-                        idle.append(server)
-                    else:
-                        bisect.insort(idle, server)
+                queue.append(t)
         else:
-            i = j
-            if len(ends) >= block:
-                fold()
-                since = t
-            continue
-        break  # the horizon came first
+            # departure: the queue head takes over the vehicle, or a
+            # uniformly chosen busy vehicle goes idle
+            n -= 1
+            if n < low:
+                low = n
+            completions[slot] += 1
+            if queue:
+                arrival = queue.popleft()
+                while arrival >= wait_edge:
+                    wait_slot += 1
+                    wait_edge = edges[wait_slot]
+                # only queued calls count toward the conditional wait
+                # statistics; immediate dispatches wait zero and appear
+                # only in the call log
+                wait = t - arrival
+                wait_count[wait_slot] += 1
+                wait_sum[wait_slot] += wait
+                if wait < t_los:
+                    wait_below[wait_slot] += 1
+                if collect_waits:
+                    if unlogged:
+                        unlogged -= 1
+                    elif wait_slot:
+                        waits.append(wait)
+            else:
+                pick = int((u - p) * pick_busy[k])
+                server = busy_ids.pop()
+                if pick < len(busy_ids):
+                    busy_ids[pick], server = server, busy_ids[pick]
+                k -= 1
+                start = began[server]
+                span = t - (start if start > warmup else warmup)
+                if span > 0.0:
+                    busy[server] += span
+                if pick_random:
+                    idle.append(server)
+                else:
+                    bisect.insort(idle, server)
 
-    ends.append(horizon)
-    levels.append(n)
-    fold()
     for server in busy_ids:
         start = began[server]
         span = horizon - (start if start > warmup else warmup)
         if span > 0.0:
             busy[server] += span
-    # FCFS starts services in call order, so the log is in call order: 8
-    # bytes a wait as one array, also in a forked worker's report
-    return record, busy, np.array(waits)
+    # FCFS starts services in call order, so the log is in call order
+    return _Replication(
+        histograms, completions[1:], wait_count[1:], wait_sum[1:], wait_below[1:], busy, waits
+    )
 
 
 def _process_count(workers: int, replications: int, events: float) -> int:
@@ -578,12 +549,15 @@ class StationaryResult:
     (for instance conditional waits in a run that never saturated) are
     omitted. batch_queue_means is the per-batch time-average queue length,
     useful for spotting the unbounded growth of an overloaded system.
+    waits, when collected, holds the wait of every call that arrived after
+    warmup and was dispatched before the horizon, in call order, 8 bytes
+    each.
     """
 
     estimates: dict[str, SimEstimate]
     per_server_busy: tuple[float, ...]
     batch_queue_means: tuple[float, ...]
-    waits: tuple[tuple[int, float], ...] | None
+    waits: array | None
 
 
 def simulate_stationary(
@@ -641,28 +615,30 @@ def simulate_stationary(
         cfg.replications,
         _process_count(workers, cfg.replications, events),
     )
-    records: list[_Batches] = []
     per_server = [0.0] * m
-    for record, rep_busy, _ in results:
-        records.append(record)
-        per_server = [a + b for a, b in zip(per_server, rep_busy)]
+    for result in results:
+        per_server = [a + b for a, b in zip(per_server, result.busy)]
 
     batch_len = (cfg.horizon - cfg.warmup) / N_BATCHES
-    histograms = [h for record in records for h in record.histograms]
+    histograms = [h for result in results for h in result.histograms]
     estimates, batch_queue_means = _occupancy_estimates(histograms, m, batch_len, cfg.seed)
-    completions = np.concatenate([record.completions for record in records])
+    completions = np.array([result.completions for result in results]).ravel()
     estimates["throughput"] = _estimate(completions / batch_len, cfg.seed)
-    wait_count = np.concatenate([record.wait_count for record in records])
+    wait_count = np.array([result.wait_count for result in results]).ravel()
     waited = wait_count > 0
-    wait_sum = np.concatenate([record.wait_sum for record in records])[waited]
-    wait_below = np.concatenate([record.wait_below for record in records])[waited]
+    wait_sum = np.array([result.wait_sum for result in results]).ravel()[waited]
+    wait_below = np.array([result.wait_below for result in results]).ravel()[waited]
     estimates["wait_mean_conditional"] = _estimate(wait_sum / wait_count[waited], cfg.seed)
     estimates["wait_cdf_at_t_los"] = _estimate(wait_below / wait_count[waited], cfg.seed)
     total_time = len(histograms) * batch_len
+    waits = None
+    if collect_waits:
+        waits = array("d")
+        for result in results:
+            waits += result.waits
     return StationaryResult(
         estimates={name: est for name, est in estimates.items() if est is not None},
         per_server_busy=tuple(busy / total_time for busy in per_server),
         batch_queue_means=batch_queue_means,
-        waits=tuple(enumerate(np.concatenate([w for _, _, w in results]).tolist()))
-        if collect_waits else None,
+        waits=waits,
     )

@@ -7,19 +7,23 @@ of closed forms, the nested closed form instead of the one-term recurrence,
 the summed stationary average instead of the identity it collapses to,
 one scalar jump-chain walk per replication instead of a sum of per-level
 local times, a drawn service time per call and a heap of service ends
-instead of the occupancy chain's one draw pair per event.
+instead of the occupancy chain's one draw pair per event, and a whole
+recorded path tallied into batches after the run instead of each batch
+tallied inside the event loop.
 
 The reference routes for an arbitrary birth-death ladder live here as well:
 the nested sum/product hitting time, the structured tridiagonal solve, the
 truncated product-form stationary law, the Gamma waiting-time density, the
-heap-driven FCFS system and the segment-by-segment batch split of an
-occupancy path. The package computes each of these
-quantities one way only; these are the second ways.
+heap-driven FCFS system, the replay of the package's occupancy chain and
+the segment-by-segment batch split of an occupancy path. The package
+computes each of these quantities one way only; these are the second ways.
 """
 
+import bisect
 import heapq
 import itertools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,9 +37,9 @@ from ambuq.params import as_int, as_real, require_steady_state
 from ambuq.simulate import (
     _DRAW_BLOCK,
     N_BATCHES,
-    PATH_BLOCK,
-    _Batches,
+    _batch_edges,
     _estimate,
+    _Replication,
     _stream,
 )
 
@@ -283,20 +287,93 @@ class _Draws:
         return value
 
 
+def replay_path(params, config, rep):
+    """The occupancy path of ``_run_fcfs_replication``'s replication ``rep``:
+    segment end times and the occupancy n during each, the last segment
+    ending at the horizon.
+
+    The same draws step the birth-death chain of n alone: no vehicles, no
+    queue, since the chain does not depend on which vehicle a call takes.
+    """
+    m = params.servers
+    lam = params.arrival_rate
+    mu = params.service_rate
+    draws = _Draws(_stream(config.seed, rep))
+    n = config.start_state
+    t = 0.0
+    ends, levels = [], []
+    while True:
+        rate = lam + min(n, m) * mu
+        t += draws.exponential() * (1.0 / rate)
+        if t >= config.horizon:
+            break
+        ends.append(t)
+        levels.append(n)
+        n += 1 if draws.uniform() < lam / rate else -1
+    ends.append(config.horizon)
+    levels.append(n)
+    return ends, levels
+
+
+def path_departures_and_waits(ends, levels, servers):
+    """The departure times of a path from t = 0 and the (arrival, wait) of
+    each queued call in the order FCFS takes them from the queue: a call
+    that arrives with every vehicle busy queues, and each departure with a
+    call queued serves the head. Calls queued at t = 0 arrive at 0.0."""
+    queue = deque(itertools.repeat(0.0, max(levels[0] - servers, 0)))
+    departures, queued = [], []
+    for t, n, after in zip(ends, levels, levels[1:]):
+        if after > n:
+            if n >= servers:
+                queue.append(t)
+        else:
+            departures.append(t)
+            if queue:
+                arrival = queue.popleft()
+                queued.append((arrival, t - arrival))
+    return departures, queued
+
+
+def batch_tallies(ends, levels, departures, queued, warmup, horizon, t_los):
+    """A replication's per-batch tallies, as in ``_Replication``, from its
+    whole path (split by ``split_histograms``), its departure times, and the
+    (arrival, wait) of its queued calls in the order they left the queue.
+    A departure counts in its batch and a wait in its arrival's batch, each
+    found by bisecting the batch edges; times before warmup count nowhere.
+    """
+    inner = _batch_edges(warmup, horizon)[1:-1]
+    histograms = []
+    for occ in split_histograms(0.0, ends, levels, warmup, horizon):
+        lo, hi = min(occ, default=0), max(occ, default=-1)
+        histograms.append((lo, np.array([occ.get(n, 0.0) for n in range(lo, hi + 1)])))
+    completions = [0] * N_BATCHES
+    for t in departures:
+        if t >= warmup:
+            completions[bisect.bisect_right(inner, t)] += 1
+    wait_count, wait_sum, wait_below = [0] * N_BATCHES, [0.0] * N_BATCHES, [0] * N_BATCHES
+    for arrival, wait in queued:
+        if arrival >= warmup:
+            b = bisect.bisect_right(inner, arrival)
+            wait_count[b] += 1
+            wait_sum[b] += wait
+            wait_below[b] += wait < t_los
+    return histograms, completions, wait_count, wait_sum, wait_below
+
+
 def run_heap_fcfs_replication(params, config, rep, t_los, assignment, collect_waits):
     """One FCFS replication with a drawn service time per call and a heap
     of pending service ends, in place of the package's occupancy chain.
 
     Same signature and results as ``ambuq.simulate._run_fcfs_replication``:
-    the batches, each vehicle's busy time booked per service when it starts,
-    and the logged waits in call order.
+    the batches, tallied from the whole path by ``batch_tallies``, each
+    vehicle's busy time booked per service when it starts, and the logged
+    waits in call order.
     """
     m = params.servers
     lam = params.arrival_rate
     mu = params.service_rate
     warmup = config.warmup
     horizon = config.horizon
-    record = _Batches(warmup, horizon)
     draws = _Draws(_stream(config.seed, rep))
 
     idle = list(range(m))
@@ -306,16 +383,7 @@ def run_heap_fcfs_replication(params, config, rep, t_los, assignment, collect_wa
     waits = []
     n = config.start_state
     call_index = 0
-
-    ends, levels, done, arrivals, queued_waits = [], [], [], [], []
-    since = 0.0
-
-    def fold():
-        record.fold_path(since, ends, levels)
-        record.fold_departures(done)
-        record.fold_waits(arrivals, queued_waits, t_los)
-        for buffer in (ends, levels, done, arrivals, queued_waits):
-            buffer.clear()
+    ends, levels, done, queued = [], [], [], []
 
     def serve(server, start):
         end = start + draws.exponential() / mu
@@ -359,27 +427,21 @@ def run_heap_fcfs_replication(params, config, rep, t_los, assignment, collect_wa
         else:
             _, server = heapq.heappop(departures)
             n -= 1
-            if t >= warmup:
-                done.append(t)
+            done.append(t)
             if queue:
                 arrival, index = queue.popleft()
-                if arrival >= warmup:
-                    arrivals.append(arrival)
-                    queued_waits.append(t - arrival)
+                queued.append((arrival, t - arrival))
                 if collect_waits and index >= 0:
                     waits.append((index, t - arrival))
                 serve(server, t)
             else:
                 idle.append(server)
-        if len(ends) >= PATH_BLOCK:
-            fold()
-            since = t
 
     ends.append(horizon)
     levels.append(n)
-    fold()
+    tallies = batch_tallies(ends, levels, done, queued, warmup, horizon, t_los)
     waits.sort()
-    return record, busy, np.array([wait for _, wait in waits])
+    return _Replication(*tallies, busy, array("d", [wait for _, wait in waits]))
 
 
 def simulate_heap_fcfs(params, config, **kwargs):

@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from array import array
 from dataclasses import replace
 from unittest import mock
 
@@ -29,7 +30,7 @@ from ambuq.simulate import (
     MAX_FCFS_EVENTS,
     MAX_HITTING_STEPS,
     N_BATCHES,
-    _Batches,
+    _batch_edges,
     _estimate,
     _hitting_times,
     _occupancy_estimates,
@@ -38,8 +39,11 @@ from ambuq.simulate import (
 from ambuq.steady_state import MAX_CSV_ROWS
 from oracles import (
     _split,
+    batch_tallies,
     hitting_times_scalar,
     occupancy_estimates_per_quantity,
+    path_departures_and_waits,
+    replay_path,
     run_heap_fcfs_replication,
     simulate_heap_fcfs,
     split_histograms,
@@ -237,10 +241,10 @@ def near_edge_windows():
 
 def test_split_assigns_points_near_edges_to_the_batch_their_edges_give():
     # the eight floats around each batch edge start and end pieces; the
-    # edges are those of _Batches, so the oracle and the fold agree
+    # edges are the package's, so the oracle and the replications agree
     for warmup, horizon in near_edge_windows():
         batch_len = (horizon - warmup) / N_BATCHES
-        edges = _Batches(warmup, horizon).bounds[1:-1].tolist()
+        edges = _batch_edges(warmup, horizon)[1:-1]
         assert edges == [warmup + k * batch_len for k in range(1, N_BATCHES)]
         points = set()
         for edge in edges:
@@ -263,95 +267,92 @@ def test_split_assigns_points_near_edges_to_the_batch_their_edges_give():
                 ), (warmup, horizon, lo, hi)
 
 
-def random_path(seed, lo, horizon, events, start_state):
-    """Sorted event times in [lo, horizon) closed by the horizon, and a
-    reflecting +-1 walk of occupancy levels from start_state."""
-    rng = np.random.default_rng(seed)
-    ends = sorted(rng.uniform(lo, horizon, events).tolist()) + [horizon]
-    levels = [start_state]
-    for step in rng.choice([-1, 1], events).tolist():
-        levels.append(abs(levels[-1] + step))
-    return ends, levels
+def on_event_times(params, seed):
+    """A config whose warmup and horizon fall exactly on event times of its
+    own path, 20 events apart, with no other event in the first batch: the
+    event at warmup leaves its level before any time passes, so that level
+    must not count in the first batch."""
+    ends, _ = replay_path(params, SimConfig(seed=seed, warmup=0.0, horizon=20000.0), 0)
+    i = next(
+        i for i in range(100, len(ends))
+        if ends[i + 1] - ends[i] > (ends[i + N_BATCHES] - ends[i]) / N_BATCHES
+    )
+    return SimConfig(seed=seed, warmup=ends[i], horizon=ends[i + N_BATCHES])
 
 
-def fold_in_blocks(record, ends, levels, size):
-    for i in range(0, len(ends), size):
-        record.fold_path(ends[i - 1] if i else 0.0, ends[i:i + size], levels[i:i + size])
+SLOW = SystemParams(t_call=1e5, t_service=1.5e5, servers=2)
+REPLAYS = {
+    "ordinary": (REFERENCE, SHORT),
+    # a real-valued window and more calls than vehicles at the start
+    "start above M": (REFERENCE, SimConfig(seed=5, warmup=1000.1, horizon=20000.3, start_state=40)),
+    "warmup 0, start above M": (REFERENCE, SimConfig(seed=9, warmup=0.0, horizon=30000.0, start_state=20)),
+    "unstable": (
+        SystemParams(t_call=15, t_service=50, servers=3),
+        SimConfig(seed=2, warmup=100.0, horizon=20100.0),
+    ),
+    "segments span batches": (
+        SystemParams(t_call=3000, t_service=2000, servers=2),
+        SimConfig(seed=4, warmup=1000.1, horizon=20000.3, start_state=2),
+    ),
+    # a window of 81 ulps: the edges round unevenly, 4 or 5 ulps apart
+    "rounded edges": (SLOW, SimConfig(seed=3, warmup=3e7, horizon=30000000.0000003, start_state=3)),
+    # a window of 8 ulps: the edges round onto shared floats, so some batches are empty
+    "repeated edges": (SLOW, SimConfig(seed=6, warmup=3e7, horizon=3e7 + 8 * 2.0**-28, start_state=1)),
+    "events on warmup and horizon": (REFERENCE, on_event_times(REFERENCE, 13)),
+}
 
 
-def assert_same_histograms(record, reference):
-    for b, ((lo, occ), ref) in enumerate(zip(record.histograms, reference)):
+def assert_same_histograms(histograms, reference):
+    """Each batch's histogram spans exactly the levels the reference batch
+    spent time at and holds exactly its time at each level. (The reference
+    may also hold a zero-length piece in a batch whose edges are equal.)"""
+    assert len(histograms) == len(reference)
+    for b, ((lo, occ), ref) in enumerate(zip(histograms, reference)):
+        visited = [n for n, time in ref.items() if time > 0.0]
+        assert (lo, lo + occ.size - 1) == (min(visited, default=0), max(visited, default=-1)), b
         for n in set(ref) | set(range(lo, lo + occ.size)):
             got = float(occ[n - lo]) if lo <= n < lo + occ.size else 0.0
             assert got == ref.get(n, 0.0), (b, n)
 
 
-PATHS = {
-    "ordinary": (2500.0, 202500.0, 3000, 0),
-    # batch edges of this window round onto a few shared floats
-    "rounded edges": (3e7, 30000000.0000003, 500, 3),
-    "start above M": (100.0, 20100.0, 2000, 40),
-    "segments span batches": (1000.1, 20000.3, 6, 2),
-}
-
-
-@pytest.mark.parametrize("name", list(PATHS))
-@pytest.mark.parametrize("size", [1, 7, 10**6])
-def test_path_fold_matches_the_split_reference(name, size):
-    warmup, horizon, events, start_state = PATHS[name]
-    lo = 0.0 if warmup < 1e6 else warmup - 1e-6
-    ends, levels = random_path(len(name), lo, horizon, events, start_state)
-    record = _Batches(warmup, horizon)
-    fold_in_blocks(record, ends, levels, size)
-    reference = split_histograms(0.0, ends, levels, warmup, horizon)
-    assert_same_histograms(record, reference)
-    # sums over levels are taken in another order, so they may differ in the last bits
-    for (lo_n, occ), ref in zip(record.histograms, reference):
-        levels_b = np.arange(lo_n, lo_n + occ.size)
-        assert occ.sum() == pytest.approx(sum(ref.values()), rel=1e-14, abs=0.0)
-        assert (levels_b * occ).sum() == pytest.approx(
-            sum(n * t for n, t in ref.items()), rel=1e-14, abs=0.0
-        )
-
-
-def test_fcfs_path_matches_the_split_reference_across_flushes(monkeypatch):
-    # a real-valued window, more calls than servers at the start, and a fold
-    # every 50 events; the reference splits the whole path in one go
-    monkeypatch.setattr("ambuq.simulate.PATH_BLOCK", 50)
-    folds = []
-    fold_path = _Batches.fold_path
-
-    def recording(self, start, ends, levels):
-        folds.append((self, start, list(ends), list(levels)))
-        fold_path(self, start, ends, levels)
-
-    monkeypatch.setattr(_Batches, "fold_path", recording)
-    config = SimConfig(seed=5, warmup=1000.1, horizon=20000.3, start_state=15)
-    simulate_stationary(REFERENCE, config)
-    assert len(folds) > 20
-    record = folds[0][0]
-    assert all(fold[0] is record for fold in folds)
-    assert all(fold[1] == prev[2][-1] for prev, fold in zip(folds, folds[1:]))
-    ends = [t for fold in folds for t in fold[2]]
-    levels = [n for fold in folds for n in fold[3]]
-    assert_same_histograms(record, split_histograms(0.0, ends, levels, 1000.1, 20000.3))
-    # every departure after warmup is one completion in the batch enclosing it
-    departures = [t for t, n, after in zip(ends, levels, levels[1:]) if after < n and t >= 1000.1]
-    edges = record.bounds
-    expected = [sum(edges[b] <= t < edges[b + 1] for t in departures) for b in range(N_BATCHES)]
-    assert record.completions.tolist() == expected
-
-
-def test_stationary_estimates_do_not_depend_on_the_block_size(monkeypatch):
-    config = SimConfig(seed=8, replications=2, warmup=500.0, horizon=20500.0, start_state=15)
-
-    def run():
-        return simulate_stationary(REFERENCE, config, collect_waits=True)
-
-    whole = run()
-    monkeypatch.setattr("ambuq.simulate.PATH_BLOCK", 3)
-    blocked = run()
-    assert blocked == whole
+@pytest.mark.parametrize("assignment, collect_waits", [("random", False), ("least_index", True)])
+@pytest.mark.parametrize("name", list(REPLAYS))
+def test_replication_tallies_match_the_replayed_path(name, assignment, collect_waits):
+    # the loop's own tallies against the whole path replayed from the same
+    # draws and tallied afterwards: the same bits, since both add each
+    # level's time, the completions and the waits in time order
+    params, config = REPLAYS[name]
+    cfg = config.resolved(params)
+    result = _run_fcfs_replication(params, cfg, 0, 30.0, assignment, collect_waits)
+    ends, levels = replay_path(params, cfg, 0)
+    departures, queued = path_departures_and_waits(ends, levels, params.servers)
+    assert_same_histograms(
+        result.histograms, split_histograms(0.0, ends, levels, cfg.warmup, cfg.horizon)
+    )
+    _, completions, wait_count, wait_sum, wait_below = batch_tallies(
+        ends, levels, departures, queued, cfg.warmup, cfg.horizon, 30.0
+    )
+    assert result.completions == completions
+    assert result.wait_count == wait_count
+    assert result.wait_sum == wait_sum
+    assert result.wait_below == wait_below
+    if collect_waits:
+        # each call that arrives after warmup, in arrival order, which FCFS
+        # keeps: 0.0 if a vehicle was idle, else its queued wait, up to the
+        # first call still queued at the horizon
+        calls = [
+            0.0 if n < params.servers else None
+            for t, n, after in zip(ends, levels, levels[1:])
+            if after > n and t >= cfg.warmup
+        ]
+        initial = max(cfg.start_state - params.servers, 0)
+        served = iter([wait for arrival, wait in queued[initial:] if arrival >= cfg.warmup])
+        log = list(itertools.takewhile(
+            lambda w: w is not None, (next(served, None) if w is None else w for w in calls)
+        ))
+        assert result.waits.tolist() == log
+    else:
+        assert len(result.waits) == 0
 
 
 @pytest.mark.parametrize(
@@ -367,7 +368,7 @@ def test_occupancy_estimates_match_the_per_quantity_route(servers, rho, start_st
     histograms = [
         h
         for rep in range(2)
-        for h in _run_fcfs_replication(params, cfg, rep, 30.0, "random", False)[0].histograms
+        for h in _run_fcfs_replication(params, cfg, rep, 30.0, "random", False).histograms
     ]
     batch_len = 2000.0 / N_BATCHES
     assert _occupancy_estimates(histograms, servers, batch_len, 91) == occupancy_estimates_per_quantity(
@@ -390,10 +391,9 @@ def test_occupancy_estimates_match_the_per_quantity_route_on_edge_histograms():
     assert expected[0]["cond_queue_0"] is None
 
 
-def test_stationary_memory_does_not_grow_with_the_run(monkeypatch):
+def test_stationary_memory_does_not_grow_with_the_run():
     # tracemalloc makes each event about ten times dearer, so the runs are
     # short: 1.25e4 and 5e4 events at two events a minute
-    monkeypatch.setattr("ambuq.simulate.PATH_BLOCK", 1024)
     params = SystemParams(t_call=1, t_service=5, servers=6)
     simulate_stationary(params, SimConfig(seed=1, warmup=10.0, horizon=100.0))
     peaks = []
@@ -565,7 +565,7 @@ def run_recording_busy(run, params, config, **kwargs):
 
     def recording(*args):
         result = run(*args)
-        rows.append(result[1])
+        rows.append(result.busy)
         return result
 
     with mock.patch("ambuq.simulate._run_fcfs_replication", recording):
@@ -625,8 +625,8 @@ def test_occupancy_chain_waits_match_the_heap_oracle_in_distribution():
     config = SimConfig(seed=71, replications=1, warmup=500.0, horizon=180500.0)
     chain = simulate_stationary(params, config, collect_waits=True)
     heap = simulate_heap_fcfs(params, replace(config, seed=72), collect_waits=True)
-    chain_waits = [w for _, w in chain.waits[::80]]
-    heap_waits = [w for _, w in heap.waits[::80]]
+    chain_waits = chain.waits[::80].tolist()
+    heap_waits = heap.waits[::80].tolist()
     assert min(len(chain_waits), len(heap_waits)) > 2000
     assert ks_2samp(chain_waits, heap_waits).pvalue > 0.01
     # the queued calls alone, without the atom of immediate dispatches
@@ -645,10 +645,10 @@ def test_unstable_run_warns_and_grows():
 def test_wait_collection():
     result = simulate_stationary(REFERENCE, SHORT, t_los=30.0, collect_waits=True)
     waits = result.waits
-    assert waits is not None and len(waits) > 1000
-    assert [idx for idx, _ in waits] == list(range(len(waits)))
-    assert all(w >= 0.0 for _, w in waits)
-    share_waiting = sum(1 for _, w in waits if w > 0.0) / len(waits)
+    # one 8-byte float per logged call, in call order
+    assert isinstance(waits, array) and waits.typecode == "d" and len(waits) > 1000
+    assert all(w >= 0.0 for w in waits)
+    share_waiting = sum(1 for w in waits if w > 0.0) / len(waits)
     assert share_waiting == pytest.approx(stationary_profile(REFERENCE).p_occup, abs=0.02)
     plain = simulate_stationary(REFERENCE, SHORT, t_los=30.0)
     assert plain.waits is None
