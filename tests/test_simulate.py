@@ -355,6 +355,59 @@ def test_replication_tallies_match_the_replayed_path(name, assignment, collect_w
         assert len(result.waits) == 0
 
 
+def with_draw_block(monkeypatch, size):
+    """The loop and the replay both take their draws in blocks of ``size``."""
+    monkeypatch.setattr("ambuq.simulate._DRAW_BLOCK", size)
+    monkeypatch.setattr("oracles._DRAW_BLOCK", size)
+
+
+@pytest.mark.parametrize("name", ["ordinary", "rounded edges", "start above M", "segments span batches"])
+@pytest.mark.parametrize("size", [1, 7, 10**6])
+def test_path_fold_matches_the_split_reference(monkeypatch, name, size):
+    # the loop books each batch as the draws come, so where a draw block
+    # ends must not show in its histograms: one draw pair a block, a block
+    # that ends inside every batch, and one block for the whole path
+    with_draw_block(monkeypatch, size)
+    params, config = REPLAYS[name]
+    cfg = config.resolved(params)
+    histograms = _run_fcfs_replication(params, cfg, 0, 30.0, "random", False).histograms
+    reference = split_histograms(0.0, *replay_path(params, cfg, 0), cfg.warmup, cfg.horizon)
+    assert_same_histograms(histograms, reference)
+    # sums over levels are taken in another order, so they may differ in the last bits
+    for (lo_n, occ), ref in zip(histograms, reference):
+        levels_b = np.arange(lo_n, lo_n + occ.size)
+        assert occ.sum() == pytest.approx(sum(ref.values()), rel=1e-14, abs=0.0)
+        assert (levels_b * occ).sum() == pytest.approx(
+            sum(n * t for n, t in ref.items()), rel=1e-14, abs=0.0
+        )
+
+
+def test_fcfs_path_matches_the_split_reference_across_flushes(monkeypatch):
+    # a real-valued window, more calls than servers at the start, and a new
+    # draw block every 50 events, run through simulate_stationary; the
+    # reference splits the whole replayed path in one go
+    with_draw_block(monkeypatch, 50)
+    results = []
+    run = _run_fcfs_replication
+
+    def recording(*args):
+        results.append(run(*args))
+        return results[-1]
+
+    monkeypatch.setattr("ambuq.simulate._run_fcfs_replication", recording)
+    config = SimConfig(seed=5, warmup=1000.1, horizon=20000.3, start_state=15)
+    simulate_stationary(REFERENCE, config)
+    (result,) = results
+    ends, levels = replay_path(REFERENCE, config, 0)
+    assert len(ends) > 20 * 50
+    assert_same_histograms(result.histograms, split_histograms(0.0, ends, levels, 1000.1, 20000.3))
+    # every departure after warmup is one completion in the batch enclosing it
+    departures = [t for t, n, after in zip(ends, levels, levels[1:]) if after < n and t >= 1000.1]
+    edges = _batch_edges(1000.1, 20000.3)
+    expected = [sum(edges[b] <= t < edges[b + 1] for t in departures) for b in range(N_BATCHES)]
+    assert result.completions == expected
+
+
 @pytest.mark.parametrize(
     "servers, rho, start_state",
     # ordinary; rarely saturated, so some batches never reach M; one vehicle;
