@@ -23,22 +23,15 @@ from pathlib import Path
 from .errors import NoSteadyStateError, ParameterError
 from .mfpt import mfpt_critical_profile, mfpt_sweep
 from .params import SystemParams, as_int, as_real, derive, is_stable, require_steady_state
-from .service_metrics import full_report, mean_wait
-from .simulate import SimConfig, simulate_hitting_time, simulate_stationary
+from .service_metrics import full_report
+from .simulate import SimConfig, compare, simulate_hitting_time, simulate_stationary
 from .sizing import SizingQuery, min_fleet
-from .steady_state import (
-    p_occupation,
-    p_occupation_by_fleet,
-    queue_conditional_pmf,
-    queue_stats,
-    stationary_csv_length,
-    stationary_csv_rows,
-    stationary_profile,
-)
+from .steady_state import p_occupation_by_fleet, queue_stats, stationary_csv_length, stationary_csv_rows
 
-# Not called here since the steady-state guard names the stable fleet;
-# perfbench/tracing.py wraps this name in this module.
+# Nothing here calls these; perfbench/tracing.py wraps them by name here.
+from .service_metrics import mean_wait
 from .sizing import stability_bound
+from .steady_state import p_occupation, queue_conditional_pmf, stationary_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -382,25 +375,19 @@ def _cmd_size(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
 
-    chosen = [
-        name for name, val in (
-            ("stability", args.stability),
-            ("los_target", args.los_target),
-            ("occup_ceiling", args.occup_max),
-            ("mfpt_horizon", args.horizon),
-        ) if val
-    ]
+    goals = {
+        "stability": args.stability,
+        "los_target": args.los_target,
+        "occup_ceiling": args.occup_max,
+        "mfpt_horizon": args.horizon,
+    }
+    chosen = [kind for kind, value in goals.items() if value]
     if len(chosen) != 1:
         raise ParameterError(
             "choose exactly one of --stability, --los-target, --occup-max, --horizon"
         )
     kind = chosen[0]
-    target = {
-        "stability": None,
-        "los_target": args.los_target,
-        "occup_ceiling": args.occup_max,
-        "mfpt_horizon": args.horizon,
-    }[kind]
+    target = None if kind == "stability" else goals[kind]
     query = SizingQuery(
         kind=kind,
         target=target,
@@ -436,23 +423,6 @@ def _cmd_size(args) -> int:
     return EXIT_NOT_FOUND
 
 
-def _analytic_counterparts(params: SystemParams, t_los: float) -> dict[str, float]:
-    profile = stationary_profile(params)
-    d = derive(params)
-    stats = queue_stats(params)
-    rate = (1.0 - d.rho) * params.servers * params.service_rate
-    values = {f"pi_{n}": profile.pi(n) for n in range(params.servers + 6)}
-    values["p_occup"] = p_occupation(params)
-    for k in range(11):
-        values[f"cond_queue_{k}"] = queue_conditional_pmf(params, k)
-    values["mean_queue_len_conditional"] = stats.mean_len
-    values["p_busy_per_server"] = d.rho
-    values["throughput"] = params.arrival_rate
-    values["wait_mean_conditional"] = mean_wait(params)
-    values["wait_cdf_at_t_los"] = 1.0 - math.exp(-rate * t_los)
-    return values
-
-
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
@@ -481,7 +451,6 @@ def _cmd_simulate(args) -> int:
     # --compare run is refused before any replication runs.
     if args.mode == "stationary" and (args.compare or not args.allow_unstable):
         require_steady_state(params)
-    rho = derive(params).rho
 
     # The summary is printed after the last write, so a failed write
     # reports nothing as done.
@@ -497,9 +466,6 @@ def _cmd_simulate(args) -> int:
             f"{estimate.value:.6g} min +- {estimate.std_error:.3g} "
             f"({estimate.n_samples} replications)"
         )
-        if args.compare:
-            analytic = {"hitting_time_mean": mfpt_critical_profile(params).times[scenario.start_state]}
-            display.extend(_comparison_lines(estimates, analytic))
     else:
         resolved = config.resolved(params)
         result = simulate_stationary(
@@ -513,25 +479,29 @@ def _cmd_simulate(args) -> int:
         estimates = result.estimates
         payload["per_server_busy"] = list(result.per_server_busy)
         payload["batch_mean_queue_len"] = list(result.batch_queue_means)
-        for name in ("p_occup", "throughput", "wait_mean_conditional", "p_busy_per_server"):
-            if name in estimates:
-                est = estimates[name]
-                display.append(
-                    f"{name} = {est.value:.6g} +- {est.std_error:.3g} ({est.n_samples} batches)"
-                )
+        display.extend(
+            f"{name} = {est.value:.6g} +- {est.std_error:.3g} ({est.n_samples} batches)"
+            for name in ("p_occup", "throughput", "wait_mean_conditional", "p_busy_per_server")
+            if (est := estimates.get(name))
+        )
         if not is_stable(params):
             first, last = result.batch_queue_means[0], result.batch_queue_means[-1]
             display.append(
-                f"unstable run (rho={rho:.6g}): mean queue length grew from "
+                f"unstable run (rho={derive(params).rho:.6g}): mean queue length grew from "
                 f"{first:.6g} (first batch) to {last:.6g} (last batch)"
-            )
-        if args.compare:
-            display.extend(
-                _comparison_lines(estimates, _analytic_counterparts(params, scenario.t_los_min))
             )
         if args.wait_samples:
             waits = result.waits or ()
-            display.append(f"wrote {out_dir / 'sim_waits.csv'}")
+    if args.compare:
+        display.append(f"{'quantity':<28} {'simulated':>12} {'std_err':>10} {'analytic':>12} {'z':>8}")
+        display.extend(
+            f"{name:<28} {value:>12.6g} {std_error:>10.3g} {ref:>12.6g} {z:>8.2f}"
+            for name, value, std_error, ref, z in compare(
+                params, estimates, args.mode, scenario.t_los_min, scenario.start_state
+            )
+        )
+    if waits is not None:
+        display.append(f"wrote {out_dir / 'sim_waits.csv'}")
 
     payload["estimates"] = {k: est.value for k, est in sorted(estimates.items())}
     payload["std_errors"] = {k: est.std_error for k, est in sorted(estimates.items())}
@@ -558,21 +528,6 @@ def _cmd_simulate(args) -> int:
     display.append(f"wrote {out_dir / 'sim.json'}")
     print("\n".join(display))
     return EXIT_OK
-
-
-def _comparison_lines(estimates, analytic) -> list[str]:
-    lines = [f"{'quantity':<28} {'simulated':>12} {'std_err':>10} {'analytic':>12} {'z':>8}"]
-    for name in sorted(analytic):
-        if name not in estimates:
-            continue
-        est = estimates[name]
-        ref = analytic[name]
-        if est.std_error > 0.0:
-            z = (est.value - ref) / est.std_error
-        else:
-            z = 0.0 if est.value == ref else math.inf
-        lines.append(f"{name:<28} {est.value:>12.6g} {est.std_error:>10.3g} {ref:>12.6g} {z:>8.2f}")
-    return lines
 
 
 @functools.cache

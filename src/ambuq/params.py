@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import NoSteadyStateError, ParameterError
 
@@ -116,23 +117,21 @@ _RHO_GUARD = 1e-12
 
 
 def _min_stable_fleet(t_call: float, t_service: float) -> int:
-    """floor(t_service / t_call) + 1, exact: the smallest M with
-    t_service < M * t_call, from the floats' integer ratios."""
-    c, d = t_service.as_integer_ratio()
-    a, b = t_call.as_integer_ratio()
-    return c * b // (d * a) + 1
+    """The smallest M with t_service < M * t_call, exact on the shortest
+    decimals that round-trip to the floats: what an operator typed."""
+    return Fraction(repr(t_service)) // Fraction(repr(t_call)) + 1
 
 
 def stability_bound(t_call: float, t_service: float) -> int:
-    """Smallest fleet with traffic intensity below 1, decided exactly:
-    floor(t_service / t_call) + 1."""
+    """Smallest fleet with traffic intensity below 1, floor(t_service /
+    t_call) + 1, decided exactly on the decimals the floats print as."""
     params = SystemParams(t_call=t_call, t_service=t_service, servers=1)
     return _min_stable_fleet(params.t_call, params.t_service)
 
 
 def is_stable(params: SystemParams) -> bool:
-    """Whether rho < 1, that is t_service < M * t_call, holds exactly. The
-    float rho of ``derive`` may round to 1 on either side of that edge."""
+    """Whether rho < 1, that is t_service < M * t_call, holds exactly on the
+    decimals the floats print as; ``derive``'s float rho may round either way."""
     rho = derive(params).rho
     if abs(rho - 1.0) > _RHO_GUARD:
         return rho < 1.0

@@ -16,18 +16,19 @@ each batch's tallies as the events happen: the time spent at each n (one
 occupancy histogram per batch), the completions, and the count, sum and
 number below t_los of the queued waits, each wait in its call's arrival
 batch. An event that passes a batch edge first closes the batch with the
-time up to the edge, so a run holds one open histogram and its queue,
-however long it is. Every time average is read off the histograms.
-Per-server busy time is booked per busy period, clipped to the
-measurement window: when the vehicle goes idle, or at the horizon if it
-is still busy.
+time up to the edge, so a run holds one open histogram and its queue of
+8-byte arrival times, however long it is. Every time average is read off
+the histograms. Per-server busy time is booked per busy period, clipped to
+the measurement window: when the vehicle goes idle, or at the horizon if busy.
 
 Every FCFS replication owns a counter-based Philox stream keyed by (seed,
 replication index). Hitting-time walks are sampled level by level from
 their local times, HITTING_BLOCK replications to a stream keyed by (seed,
-block index). Per-replication results land in slots indexed by
-replication and are always reduced in index order, so estimates depend
-only on the seed and the replication count.
+block index). Results are reduced in replication order, each estimate a
+row of a quantity x batch (or replication) table, so they depend only on
+the seed and the replication count. The batches with time at n >= M and
+those with a queued wait give tables of their own; compare sets each
+estimate beside its analytic value.
 
 A stationary run with ``workers`` > 1 cuts its replications into contiguous
 chunks, one per process: the caller runs the first chunk itself and forked
@@ -52,7 +53,6 @@ import signal
 import threading
 import warnings
 from array import array
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -61,7 +61,9 @@ import numpy as np
 from .errors import ParameterError
 from .mfpt import mfpt_critical_profile
 from .params import SystemParams, as_int, as_real, derive, is_stable
+from .service_metrics import mean_wait
 from .steady_state import MAX_CSV_ROWS
+from .steady_state import p_occupation, queue_conditional_pmf, queue_stats, stationary_profile
 
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1024
@@ -71,11 +73,11 @@ MAX_REPLICATIONS = 10**7
 # M mu) per walk, an upper bound, times the replications in whole blocks. It
 # keeps the visit counts, and so every Poisson mean, far below numpy's 9.2e18.
 MAX_HITTING_STEPS = 10**8
-# Most events a stationary run may simulate: 5.6-6.4 s at the 0.56-0.64 us
+# Most events a stationary run may simulate: 6.3-7.8 s at the 0.63-0.78 us
 # per event measured for a 4.8e6-event run on a shared 2-vCPU Xeon, and
-# 7.6-8.1 s for the worst admitted run, a queue that reaches a new occupancy
-# level at almost every event (one vehicle, t_service / t_call = 10^6, 9.9e6
-# events).
+# 4.8-6.7 s and 297 MB for the worst admitted run, a queue that reaches a new
+# occupancy level at almost every event (one vehicle, t_service / t_call =
+# 10^6, 9.9e6 events).
 MAX_FCFS_EVENTS = 10**7
 N_BATCHES = 20
 # Fewest events of a stationary run per process it is shared by. One fork and
@@ -206,7 +208,7 @@ def simulate_hitting_time(
             f"more than {MAX_HITTING_STEPS:.0e}"
         )
     times = _hitting_times(lam, mu, start_state, m + 1, config.seed, config.replications)
-    return _estimate(times, config.seed)
+    return _reduce(["hitting_time_mean"], times[None], config.seed)["hitting_time_mean"]
 
 
 def _batch_edges(warmup: float, horizon: float) -> list[float]:
@@ -272,7 +274,8 @@ def _run_fcfs_replication(
     idle = list(range(k, m))
     began = [0.0] * m  # start of each busy vehicle's busy period
     busy = [0.0] * m
-    queue = deque(itertools.repeat(0.0, n - k))  # arrival times, FCFS
+    queue = array("d", [0.0]) * (n - k)  # arrival times of the waiting calls: queue[head:]
+    head = 0
     unlogged = n - k  # calls queued at t = 0 are never logged as waits
     waits = array("d")
 
@@ -356,8 +359,13 @@ def _run_fcfs_replication(
             if n < low:
                 low = n
             completions[slot] += 1
-            if queue:
-                arrival = queue.popleft()
+            if n >= m:
+                # n - M calls still wait: drop the served ones once they are more
+                arrival = queue[head]
+                head += 1
+                if head > n - m:
+                    del queue[:head]
+                    head = 0
                 while arrival >= wait_edge:
                     wait_slot += 1
                     wait_edge = edges[wait_slot]
@@ -489,56 +497,63 @@ def _run_replications(run, replications: int, processes: int) -> list:
             os.close(read_fd)
 
 
-def _estimate(values, seed: int) -> SimEstimate | None:
-    if len(values) == 0:
-        return None
-    arr = np.array(values, dtype=float)
-    value = float(arr.mean())
-    std_error = 0.0
-    if len(values) > 1:
+def _reduce(names, table, seed: int) -> dict[str, SimEstimate]:
+    """One estimate per row of a quantity x batch table, named by ``names``:
+    its mean and sample std over sqrt(batches) (0 for one batch), none for
+    no batches. Laid C-contiguous, a row sums bit for bit as a 1-D array does."""
+    table = np.ascontiguousarray(table, dtype=float)
+    batches = table.shape[1]
+    if batches == 0:
+        return {}
+    std = np.zeros(len(table))
+    if batches > 1:
         with np.errstate(over="ignore"):
-            std = arr.std(ddof=1)
-        if not math.isfinite(std) and np.isfinite(arr).all():
-            # the squared deviations overflowed, not the spread: take it in
-            # units of the largest magnitude
-            top = np.abs(arr).max()
-            std = (arr / top).std(ddof=1) * top
-        std_error = float(std / math.sqrt(len(values)))
-    return SimEstimate(value=value, std_error=std_error, n_samples=len(values), seed=seed)
+            std = table.std(axis=1, ddof=1)
+        for i in np.flatnonzero(~np.isfinite(std) & np.isfinite(table).all(axis=1)):
+            # the squared deviations overflowed, not the spread: rescale
+            top = np.abs(table[i]).max()
+            std[i] = (table[i] / top).std(ddof=1) * top
+    rows = zip(names, table.mean(axis=1).tolist(), (std / math.sqrt(batches)).tolist())
+    return {name: SimEstimate(value, std_error, batches, seed) for name, value, std_error in rows}
 
 
 def _occupancy_estimates(
-    histograms: list[tuple[int, np.ndarray]], servers: int, batch_len: float, seed: int
-) -> tuple[dict[str, SimEstimate | None], tuple[float, ...]]:
-    """Estimates of pi_n, p_occup, cond_queue_k, mean_queue_len_conditional
-    and p_busy_per_server (None where no batch counts), and the batch mean
-    queue lengths, all read off the per-batch histograms (lo, occ), occ[i]
-    the time at n = lo + i: FCFS keeps min(n, M) servers busy."""
-    m = servers
-    # time[b, n]: batch b's time at n, for the levels n <= M + 10 any estimate reads
+    results: list[_Replication], m: int, batch_len: float, seed: int
+) -> tuple[dict[str, SimEstimate], tuple[float, ...]]:
+    """Every stationary estimate, and the batch mean queue lengths, from the
+    replications' batches in order: all batches give pi_0..pi_{M+5}, p_occup,
+    throughput and p_busy_per_server; those with time at n >= M give
+    cond_queue_0..10 and mean_queue_len_conditional; those with a queued
+    wait the two wait estimates. The histograms (lo, occ), occ[i] the time
+    at n = lo + i, give the time averages: FCFS keeps min(n, M) servers busy."""
+    histograms = [h for result in results for h in result.histograms]
+    # time[n, b]: batch b's time at n, for the levels n <= M + 10 any estimate reads
     width = m + 10 + 1
-    time = np.zeros((len(histograms), width))
-    occup, queue_area, busy = [], [], []
+    time = np.zeros((width, len(histograms)))
+    occup, queue_area, busy = np.zeros((3, len(histograms)))
     for b, (lo, occ) in enumerate(histograms):
         levels = np.arange(lo, lo + occ.size)
-        occup.append(float(occ[max(m - lo, 0):].sum()))
-        queue_area.append(float((np.maximum(levels - m, 0) * occ).sum()))
-        busy.append(float((np.minimum(levels, m) * occ).sum()))
+        occup[b] = occ[max(m - lo, 0):].sum()
+        queue_area[b] = (np.maximum(levels - m, 0) * occ).sum()
+        busy[b] = (np.minimum(levels, m) * occ).sum()
         if lo < width:
-            time[b, lo:lo + occ.size] = occ[:width - lo]
-    pi = time[:, :m + 5 + 1] / batch_len
-    estimates = {f"pi_{n}": _estimate(pi[:, n], seed) for n in range(m + 5 + 1)}
-    estimates["p_occup"] = _estimate([t / batch_len for t in occup], seed)
-    occup_time = np.array(occup)
-    occupied = occup_time > 0.0
-    cond = time[occupied, m:] / occup_time[occupied, None]
-    for k in range(10 + 1):
-        estimates[f"cond_queue_{k}"] = _estimate(cond[:, k], seed)
-    estimates["mean_queue_len_conditional"] = _estimate(
-        [q / t for t, q in zip(occup, queue_area) if t > 0.0], seed
-    )
-    estimates["p_busy_per_server"] = _estimate([b / (m * batch_len) for b in busy], seed)
-    return estimates, tuple(q / batch_len for q in queue_area)
+            time[lo:lo + occ.size, b] = occ[:width - lo]
+    completions, wait_count, wait_sum, wait_below = np.array(
+        [(r.completions, r.wait_count, r.wait_sum, r.wait_below) for r in results]
+    ).transpose(1, 0, 2).reshape(4, -1)
+    table = np.vstack([time[:m + 5 + 1], occup, completions, busy])
+    table[:-1] /= batch_len
+    table[-1] /= m * batch_len
+    names = [*(f"pi_{n}" for n in range(m + 5 + 1)), "p_occup", "throughput", "p_busy_per_server"]
+    estimates = _reduce(names, table, seed)
+    occupied = occup > 0.0
+    names = [*(f"cond_queue_{k}" for k in range(10 + 1)), "mean_queue_len_conditional"]
+    table = np.vstack([time[m:, occupied], queue_area[occupied]]) / occup[occupied]
+    estimates |= _reduce(names, table, seed)
+    waited = wait_count > 0
+    table = np.vstack([wait_sum[waited], wait_below[waited]]) / wait_count[waited]
+    estimates |= _reduce(["wait_mean_conditional", "wait_cdf_at_t_los"], table, seed)
+    return estimates, tuple((queue_area / batch_len).tolist())
 
 
 @dataclass(frozen=True)
@@ -620,25 +635,54 @@ def simulate_stationary(
         per_server = [a + b for a, b in zip(per_server, result.busy)]
 
     batch_len = (cfg.horizon - cfg.warmup) / N_BATCHES
-    histograms = [h for result in results for h in result.histograms]
-    estimates, batch_queue_means = _occupancy_estimates(histograms, m, batch_len, cfg.seed)
-    completions = np.array([result.completions for result in results]).ravel()
-    estimates["throughput"] = _estimate(completions / batch_len, cfg.seed)
-    wait_count = np.array([result.wait_count for result in results]).ravel()
-    waited = wait_count > 0
-    wait_sum = np.array([result.wait_sum for result in results]).ravel()[waited]
-    wait_below = np.array([result.wait_below for result in results]).ravel()[waited]
-    estimates["wait_mean_conditional"] = _estimate(wait_sum / wait_count[waited], cfg.seed)
-    estimates["wait_cdf_at_t_los"] = _estimate(wait_below / wait_count[waited], cfg.seed)
-    total_time = len(histograms) * batch_len
+    estimates, batch_queue_means = _occupancy_estimates(results, m, batch_len, cfg.seed)
     waits = None
     if collect_waits:
         waits = array("d")
         for result in results:
             waits += result.waits
     return StationaryResult(
-        estimates={name: est for name, est in estimates.items() if est is not None},
-        per_server_busy=tuple(busy / total_time for busy in per_server),
+        estimates=estimates,
+        per_server_busy=tuple(busy / (len(results) * N_BATCHES * batch_len) for busy in per_server),
         batch_queue_means=batch_queue_means,
         waits=waits,
     )
+
+
+def compare(
+    params: SystemParams, estimates: dict[str, SimEstimate], mode: str = "stationary",
+    t_los: float = 30.0, start_state: int = 0,
+) -> list[tuple[str, float, float, float, float]]:
+    """(name, value, std_error, analytic, z) for each estimate that has an
+    analytic value, in name order. z is the difference in standard errors;
+    for a zero standard error, 0 where the values are equal and inf where
+    not. In ``mode="hitting"`` the value is the saturation time
+    T(start_state); in ``"stationary"`` it is the steady-state value (which
+    needs rho < 1), the wait distribution's taken at ``t_los``."""
+    if mode == "hitting":
+        start_state = as_int(start_state, "start_state", minimum=0, maximum=params.servers)
+        analytic = {"hitting_time_mean": mfpt_critical_profile(params).times[start_state]}
+    elif mode == "stationary":
+        profile, rho = stationary_profile(params), derive(params).rho
+        rate = (1.0 - rho) * params.servers * params.service_rate
+        analytic = {
+            **{f"pi_{n}": profile.pi(n) for n in range(params.servers + 6)},
+            **{f"cond_queue_{k}": queue_conditional_pmf(params, k) for k in range(11)},
+            "p_occup": p_occupation(params),
+            "mean_queue_len_conditional": queue_stats(params).mean_len,
+            "p_busy_per_server": rho,
+            "throughput": params.arrival_rate,
+            "wait_mean_conditional": mean_wait(params),
+            "wait_cdf_at_t_los": 1.0 - math.exp(-rate * t_los),
+        }
+    else:
+        raise ParameterError(f"mode must be 'stationary' or 'hitting', got {mode!r}")
+    records = []
+    for name in sorted(analytic.keys() & estimates.keys()):
+        est, ref = estimates[name], analytic[name]
+        if est.std_error > 0.0:
+            z = (est.value - ref) / est.std_error
+        else:
+            z = 0.0 if est.value == ref else math.inf
+        records.append((name, est.value, est.std_error, ref, z))
+    return records

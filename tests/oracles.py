@@ -9,7 +9,8 @@ one scalar jump-chain walk per replication instead of a sum of per-level
 local times, a drawn service time per call and a heap of service ends
 instead of the occupancy chain's one draw pair per event, and a whole
 recorded path tallied into batches after the run instead of each batch
-tallied inside the event loop.
+tallied inside the event loop, and each quantity's batch means reduced on
+their own as a 1-D array instead of row by row from one table.
 
 The reference routes for an arbitrary birth-death ladder live here as well:
 the nested sum/product hitting time, the structured tridiagonal solve, the
@@ -37,8 +38,8 @@ from ambuq.params import as_int, as_real, require_steady_state
 from ambuq.simulate import (
     _DRAW_BLOCK,
     N_BATCHES,
+    SimEstimate,
     _batch_edges,
-    _estimate,
     _Replication,
     _stream,
 )
@@ -451,11 +452,34 @@ def simulate_heap_fcfs(params, config, **kwargs):
         return simulate_stationary(params, config, **kwargs)
 
 
-def occupancy_estimates_per_quantity(histograms, servers, batch_len, seed):
+def _estimate(values, seed):
+    """The batch-means estimate of one quantity from its values, reduced as
+    a 1-D array on its own: the mean, and the sample std over the square
+    root of the count (0 for one value), or None for no values."""
+    if len(values) == 0:
+        return None
+    arr = np.array(values, dtype=float)
+    value = float(arr.mean())
+    std_error = 0.0
+    if len(values) > 1:
+        with np.errstate(over="ignore"):
+            std = arr.std(ddof=1)
+        if not math.isfinite(std) and np.isfinite(arr).all():
+            # the squared deviations overflowed, not the spread: take it in
+            # units of the largest magnitude
+            top = np.abs(arr).max()
+            std = (arr / top).std(ddof=1) * top
+        std_error = float(std / math.sqrt(len(values)))
+    return SimEstimate(value=value, std_error=std_error, n_samples=len(values), seed=seed)
+
+
+def occupancy_estimates_per_quantity(results, servers, batch_len, seed):
     """``ambuq.simulate._occupancy_estimates`` read one quantity and one
-    batch at a time: each pi_n and cond_queue_k value is looked up in its
-    batch's histogram on its own, not sliced out of one per-batch matrix."""
+    batch at a time, each quantity reduced on its own by ``_estimate``: each
+    pi_n and cond_queue_k value is looked up in its batch's histogram on its
+    own, not sliced out of one quantity x batch table."""
     m = servers
+    histograms = [h for result in results for h in result.histograms]
 
     def at(lo, occ, n):
         return float(occ[n - lo]) if lo <= n < lo + occ.size else 0.0
@@ -478,7 +502,19 @@ def occupancy_estimates_per_quantity(histograms, servers, batch_len, seed):
         )
     estimates["mean_queue_len_conditional"] = _estimate([q / t for _, t, q in occupied], seed)
     estimates["p_busy_per_server"] = _estimate([b / (m * batch_len) for b in busy], seed)
-    return estimates, tuple(q / batch_len for q in queue_area)
+    estimates["throughput"] = _estimate(
+        [c / batch_len for result in results for c in result.completions], seed
+    )
+    waited = [
+        tally
+        for result in results
+        for tally in zip(result.wait_count, result.wait_sum, result.wait_below)
+        if tally[0] > 0
+    ]
+    estimates["wait_mean_conditional"] = _estimate([s / c for c, s, _ in waited], seed)
+    estimates["wait_cdf_at_t_los"] = _estimate([b / c for c, _, b in waited], seed)
+    observed = {name: est for name, est in estimates.items() if est is not None}
+    return observed, tuple(q / batch_len for q in queue_area)
 
 
 def hitting_times_dense(ladder, target):

@@ -165,6 +165,20 @@ def test_stability_verdicts_at_unit_intensity(tmp_path, capsys, monkeypatch):
     assert written(out_dir) == []
 
 
+def test_stability_is_decided_on_the_typed_decimals(tmp_path, capsys):
+    # 0.11 = 11 x 0.01 and 10 = 10^4 x 1e-3 in decimal, so rho is 1, though
+    # the stored 0.11 lies below 11 times the stored 0.01
+    decimal = ("--t-call", "0.01", "--t-service", "0.11")
+    assert run("analyze", *decimal, "--servers", 11, "--out-dir", tmp_path / "a") == 3
+    assert "minimum stable fleet is 12" in capsys.readouterr().err
+    assert written(tmp_path / "a") == []
+    assert run("size", *decimal, "--servers", 1, "--stability", "--out-dir", tmp_path / "s") == 0
+    assert json.loads((tmp_path / "s" / "sizing.json").read_text())["m"] == 12
+    large = ("--t-call", "1e-3", "--t-service", 10, "--servers", 10000)
+    assert run("analyze", *large, "--out-dir", tmp_path / "l") == 3
+    assert "minimum stable fleet is 10001" in capsys.readouterr().err
+
+
 def test_size_occupation_ceiling(tmp_path):
     assert run("size", *BASE, "--servers", 1, "--occup-max", 0.15, "--out-dir", tmp_path) == 0
     sizing = json.loads((tmp_path / "sizing.json").read_text())

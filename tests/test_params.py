@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,20 @@ def test_stability_is_decided_exactly_at_the_edge():
         assert stability_bound(t_call, t_service) == math.floor(Fraction(t_service) / t_call) + 1
         rounded_wrong += (derive(params).rho < 1.0) != exact
     assert rounded_wrong > 0  # the float rho alone gets some of these wrong
+
+
+def test_stability_is_decided_on_the_typed_decimals():
+    # t_call 0.01..3.00 in steps of 0.01 and t_service = M * t_call as typed,
+    # so rho is exactly 1 in decimal, while the stored t_service may lie a few
+    # ulps either side of M times the stored t_call. M strides 1, 6, ..., 196,
+    # a fifth of 1..199, to keep the test short.
+    for hundredths in range(1, 301):
+        t_call_text = f"{hundredths // 100}.{hundredths % 100:02d}"
+        for servers in range(1, 200, 5):
+            t_call, t_service = float(t_call_text), float(Decimal(t_call_text) * servers)
+            assert stability_bound(t_call, t_service) == servers + 1, (t_call_text, servers)
+            assert not is_stable(SystemParams(t_call, t_service, servers))
+            assert is_stable(SystemParams(t_call, t_service, servers + 1))
 
 
 def test_steady_state_guard_at_the_edge():

@@ -30,14 +30,18 @@ from ambuq.simulate import (
     MAX_FCFS_EVENTS,
     MAX_HITTING_STEPS,
     N_BATCHES,
+    SimEstimate,
     _batch_edges,
-    _estimate,
     _hitting_times,
     _occupancy_estimates,
+    _reduce,
+    _Replication,
     _run_fcfs_replication,
+    compare,
 )
 from ambuq.steady_state import MAX_CSV_ROWS
 from oracles import (
+    _estimate,
     _split,
     batch_tallies,
     hitting_times_scalar,
@@ -203,16 +207,84 @@ def test_estimate_of_values_near_1e300_has_a_finite_std_error():
     values = [1e300, 2e300, 3e300, 4e300]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        estimate = _estimate(values, 1)
+        estimate = _reduce(["x"], [values], 1)["x"]
     assert estimate.value == 2.5e300
     expected = math.sqrt(5.0 / 3.0) * 1e300 / 2.0  # sample std 1.29e300 over sqrt(4)
     assert estimate.std_error == pytest.approx(expected, rel=1e-15)
     # an infinite value still gives a non-finite spread, for the caller to refuse
     with np.errstate(invalid="ignore"):
-        assert not math.isfinite(_estimate([1.0, math.inf], 1).std_error)
+        assert not math.isfinite(_reduce(["x"], [[1.0, math.inf]], 1)["x"].std_error)
     # and where the plain spread is finite it is taken as before, bit for bit
     plain = np.array([1e150, 3e150, 2e150])
-    assert _estimate(plain, 1).std_error == float(plain.std(ddof=1) / math.sqrt(3))
+    assert _reduce(["x"], [plain], 1)["x"].std_error == float(plain.std(ddof=1) / math.sqrt(3))
+
+
+def test_reduce_matches_the_1d_reduction_bit_for_bit():
+    # numpy sums blocks of 128 pairwise, so 128 and 129 batches are inside
+    rng = np.random.default_rng(7)
+    for batches in range(1, 201):
+        rows = [
+            rng.random(batches),
+            rng.exponential(1e3, batches),
+            rng.normal(0.0, 1.0, batches) * 10.0 ** rng.integers(-30, 30, batches),
+            np.where(rng.random(batches) < 0.5, 0.0, rng.random(batches)),
+            rng.integers(0, 50, batches) / 7.0,
+            rng.random(batches) * 1e160,  # squared deviations overflow: rescaled
+            np.full(batches, 0.1),
+            np.concatenate([rng.random(batches - 1), [math.inf]]),
+        ]
+        names = [f"q{i}" for i in range(len(rows))]
+        with np.errstate(invalid="ignore"):
+            expected = {name: _estimate(row.tolist(), 5) for name, row in zip(names, rows)}
+            # quantity-major, and a batch-major table transposed, which the
+            # reducer lays out C-contiguous before it reduces
+            for table in (np.array(rows), np.array(rows).T.copy().T):
+                estimates = _reduce(names, table, 5)
+                assert list(estimates) == names
+                for name in names:
+                    got, want = estimates[name], expected[name]
+                    assert (got.n_samples, got.seed) == (want.n_samples, want.seed) == (batches, 5)
+                    assert np.array_equal(
+                        [got.value, got.std_error], [want.value, want.std_error], equal_nan=True
+                    ), (batches, name)
+    assert _reduce(["a", "b"], np.zeros((2, 0)), 5) == {}
+
+
+def test_compare_z_rule():
+    params = SystemParams(t_call=15, t_service=50, servers=6)
+    throughput, rho = params.arrival_rate, derive(params).rho
+    estimates = {
+        "throughput": SimEstimate(throughput + 0.01, 0.004, 20, 1),
+        "p_busy_per_server": SimEstimate(rho, 0.0, 20, 1),  # exact: z = 0
+        "pi_0": SimEstimate(0.5, 0.0, 20, 1),  # off with no spread: z = inf
+        "no_analytic_value": SimEstimate(1.0, 0.1, 20, 1),
+    }
+    records = compare(params, estimates)
+    assert [name for name, *_ in records] == ["p_busy_per_server", "pi_0", "throughput"]
+    assert records[0] == ("p_busy_per_server", rho, 0.0, rho, 0.0)
+    assert records[1] == ("pi_0", 0.5, 0.0, stationary_profile(params).pi(0), math.inf)
+    assert records[2] == ("throughput", throughput + 0.01, 0.004, throughput,
+                          (throughput + 0.01 - throughput) / 0.004)
+    # names with no estimate (here every wait and queue quantity) are skipped
+    assert compare(params, {}) == []
+
+
+def test_compare_hitting_mode():
+    params = SystemParams(t_call=15, t_service=50, servers=6)
+    exact = mfpt_critical_profile(params).times[2]
+    estimate = SimEstimate(exact * 1.01, exact * 0.005, 100, 1)
+    (record,) = compare(params, {"hitting_time_mean": estimate}, mode="hitting", start_state=2)
+    assert record == ("hitting_time_mean", estimate.value, estimate.std_error, exact,
+                      (estimate.value - exact) / estimate.std_error)
+    # the stationary names have no hitting-time counterpart, and no steady
+    # state is needed: rho > 1 here
+    unstable = SystemParams(t_call=15, t_service=150, servers=6)
+    assert compare(unstable, {"throughput": estimate}, mode="hitting") == []
+    with pytest.raises(ParameterError, match="mode"):
+        compare(params, {}, mode="transient")
+    for start_state in (-1, 7):  # negative or past M: no saturation time, not T(M)
+        with pytest.raises(ParameterError, match="start_state"):
+            compare(params, {}, mode="hitting", start_state=start_state)
 
 
 def test_split_steps_past_rounded_batch_edges():
@@ -418,30 +490,31 @@ def test_occupancy_estimates_match_the_per_quantity_route(servers, rho, start_st
     params = SystemParams(t_call=1.0, t_service=rho * servers, servers=servers)
     config = SimConfig(seed=91, replications=2, warmup=50.0, horizon=2050.0, start_state=start_state)
     cfg = config.resolved(params)
-    histograms = [
-        h
-        for rep in range(2)
-        for h in _run_fcfs_replication(params, cfg, rep, 30.0, "random", False).histograms
-    ]
+    results = [_run_fcfs_replication(params, cfg, rep, 30.0, "random", False) for rep in range(2)]
     batch_len = 2000.0 / N_BATCHES
-    assert _occupancy_estimates(histograms, servers, batch_len, 91) == occupancy_estimates_per_quantity(
-        histograms, servers, batch_len, 91
+    assert _occupancy_estimates(results, servers, batch_len, 91) == occupancy_estimates_per_quantity(
+        results, servers, batch_len, 91
     )
 
 
 def test_occupancy_estimates_match_the_per_quantity_route_on_edge_histograms():
     # a batch straddling M + 10, one wholly above it, one never occupied,
-    # and histograms that never reach M at all
+    # and histograms that never reach M at all, with no queued wait
     histograms = [
         (14, np.array([1.0, 2.0, 3.0])),
         (30, np.array([0.5, 4.0])),
         (0, np.array([7.0, 1.0])),
         (2, np.array([0.25])),
     ]
-    for subset in (histograms, histograms[2:]):
-        expected = occupancy_estimates_per_quantity(subset, 5, 10.0, 3)
-        assert _occupancy_estimates(subset, 5, 10.0, 3) == expected
-    assert expected[0]["cond_queue_0"] is None
+    tallies = ([3, 0, 5, 1], [2, 1, 0, 0], [7.5, 0.25, 0.0, 0.0], [1, 1, 0, 0])
+    whole = _Replication(histograms, *tallies, [], array("d"))
+    tail = _Replication(histograms[2:], *(tally[2:] for tally in tallies), [], array("d"))
+    for results in ([whole, whole], [whole], [tail]):
+        expected = occupancy_estimates_per_quantity(results, 5, 10.0, 3)
+        assert _occupancy_estimates(results, 5, 10.0, 3) == expected
+    # the tail has no occupied batch and no queued wait: those go unestimated
+    assert "cond_queue_0" not in expected[0] and "wait_mean_conditional" not in expected[0]
+    assert "cond_queue_0" in occupancy_estimates_per_quantity([whole], 5, 10.0, 3)[0]
 
 
 def test_stationary_memory_does_not_grow_with_the_run():
