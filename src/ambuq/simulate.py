@@ -22,13 +22,19 @@ the histograms. Per-server busy time is booked per busy period, clipped to
 the measurement window: when the vehicle goes idle, or at the horizon if busy.
 
 Every FCFS replication owns a counter-based Philox stream keyed by (seed,
-replication index). Hitting-time walks are sampled level by level from
-their local times, HITTING_BLOCK replications to a stream keyed by (seed,
-block index). Results are reduced in replication order, each estimate a
-row of a quantity x batch (or replication) table, so they depend only on
-the seed and the replication count. The batches with time at n >= M and
-those with a queued wait give tables of their own; compare sets each
-estimate beside its analytic value.
+replication index). Hitting-time walks are drawn HITTING_BLOCK replications
+to a stream keyed by (seed, block index). On a ladder of at most
+SPECTRAL_MAX_LEVELS levels, a walk's passage time is drawn as a sum of
+exponentials at the ladder's eigenvalues, the first ``start`` of them each
+kept by a coin: M + 1 exponentials and ``start`` uniforms per walk, however
+long the walk. Above that cap walks are sampled level by level from their
+local times, drawing only the levels they visit: from a high start that
+beats M + 1 draws per walk, and the O(M^3) eigen solve could not run at the
+largest admitted fleets. Results are reduced in replication order, each
+estimate a row of a quantity x batch (or replication) table, so they depend
+only on the seed and the replication count. The batches with time at
+n >= M and those with a queued wait give tables of their own; compare sets
+each estimate beside its analytic value.
 
 A stationary run with ``workers`` > 1 cuts its replications into contiguous
 chunks, one per process: the caller runs the first chunk itself and forked
@@ -70,9 +76,23 @@ _DRAW_BLOCK = 1024
 HITTING_BLOCK = 1024
 MAX_REPLICATIONS = 10**7
 # Most steps a hitting-time run may be expected to take: T(start) x (lambda +
-# M mu) per walk, an upper bound, times the replications in whole blocks. It
-# keeps the visit counts, and so every Poisson mean, far below numpy's 9.2e18.
+# M mu) per walk, an upper bound, times the replications in whole blocks. On
+# the local-time route it keeps the visit counts, and so every Poisson mean,
+# far below numpy's 9.2e18. On the spectral route it bounds T(0) x (lambda +
+# M mu), at most M + 1 times T(start) x (lambda + M mu) since the mean time to
+# step up grows with the level, and so how far the smallest eigenvalue lies
+# below the ladder's norm, which sets the solve's relative error.
 MAX_HITTING_STEPS = 10**8
+# Most levels (M + 1) on which hitting times are drawn from the ladder's
+# spectrum; larger fleets take the local-time route. Per 1000 walks on a
+# shared 2-vCPU Xeon (median of 30 alternated calls, rho 0.8, 1.5 and 3), at
+# 32 levels the spectral route took 0.53-0.71 ms from start 0 or M/2 against
+# 1.39-3.44 ms, and 0.73-0.89 ms from start M against 0.29-1.44 ms: there a
+# walk at rho >= 1.5 seldom goes down, so the local-time route draws only a
+# few levels. Past the cap that loss grows (1.70 against 0.51 ms at 40
+# levels, rho 3), and the eigen solve jumps to about 8 ms on some ladders of
+# 65 levels.
+SPECTRAL_MAX_LEVELS = 32
 # Most events a stationary run may simulate: 6.3-7.8 s at the 0.63-0.78 us
 # per event measured for a 4.8e6-event run on a shared 2-vCPU Xeon, and
 # 4.8-6.7 s and 297 MB for the worst admitted run, a queue that reaches a new
@@ -149,6 +169,76 @@ class SimEstimate:
     seed: int
 
 
+def _ladder_spectrum(lam: float, mu: float, start_state: int, target: int):
+    """(scale, weight) of a walk's passage time from ``start_state`` to
+    ``target``: T = sum_j B_j E_j scale_j, with E_j standard exponentials,
+    B_j = 1 for j >= start_state and B_j ~ Bernoulli(weight_j) below it.
+
+    On levels 0..target - 1 the symmetrised generator, in units of lam, has
+    diagonal 1 + n mu / lam and off-diagonal sqrt(n mu / lam) between n - 1
+    and n; in these units no entry holds lam x mu, which leaves the float
+    range at call spacings near 1e+-160. Its eigenvalues l_1 < ... are the
+    rates, over lam, of the exponentials that sum to T(0) (Keilson 1979; Fill
+    2009), so scale_j = 1 / (lam l_j). T(0) = T(0 -> start) + T(start), and
+    T(0 -> start) sums exponentials at the eigenvalues v_1 < ... of the
+    leading start x start block, which interlace above the l_j: so T(start)
+    keeps the exponential at l_j, j < start, with probability weight_j =
+    1 - l_j / v_j.
+    """
+    levels = np.arange(target)
+    ratio = mu / lam
+    # eigvalsh reads the lower triangle only: the diagonal and the one below
+    ladder = np.zeros((target, target))
+    ladder.flat[::target + 1] = 1.0 + levels * ratio
+    ladder.flat[target::target + 1] = np.sqrt(levels[1:] * ratio)
+    eig = np.linalg.eigvalsh(ladder)
+    weight = 1.0 - eig[:start_state] / np.linalg.eigvalsh(ladder[:start_state, :start_state])
+    return 1.0 / lam / eig, weight
+
+
+def _spectral_block(lam: float, mu: float, start_state: int, target: int):
+    """A sampler gen, size -> ``size`` passage times drawn from the spectrum:
+    a level-major (target, size) block of exponentials, then one of
+    uniforms for the coins. The walks sum down the levels with sum(axis=0),
+    in a fixed order, where a matrix product's order may depend on how many
+    threads BLAS runs."""
+    scale, weight = (a[:, None] for a in _ladder_spectrum(lam, mu, start_state, target))
+
+    def block(gen: np.random.Generator, size: int) -> np.ndarray:
+        times = gen.standard_exponential((target, size)) * scale
+        times[:start_state] *= gen.random((start_state, size)) < weight
+        return times.sum(axis=0)
+
+    return block
+
+
+def _local_time_block(lam: float, mu: float, start_state: int, target: int):
+    """A sampler gen, size -> ``size`` passage times drawn level by level.
+
+    In level n's own clock, up-jumps form a rate-lam Poisson process and
+    down-jumps a rate-mu n one, independent of each other and of other levels.
+    So, from target - 1 down, a walk that leaves n upwards u_n times (once more
+    than it comes down from n + 1 at or above the start, as often below it)
+    spends tau_n = Gamma(u_n) / lam at n and comes down from it Poisson(mu n
+    tau_n) times: one gamma and one Poisson draw per walk and visited level,
+    not per step, down to the first level below the start no walk reaches.
+    """
+
+    def block(gen: np.random.Generator, size: int) -> np.ndarray:
+        t = np.zeros(size)
+        down = 0  # each walk's jumps down from the level above
+        for n in range(target - 1, -1, -1):
+            up = down + (n >= start_state)
+            if not np.any(up):
+                break
+            tau = gen.standard_gamma(up, size) / lam
+            t += tau
+            down = gen.poisson(mu * n * tau)
+        return t
+
+    return block
+
+
 def _hitting_times(
     lam: float, mu: float, start_state: int, target: int, seed: int, replications: int
 ) -> np.ndarray:
@@ -156,28 +246,16 @@ def _hitting_times(
 
     Replications are cut into blocks of HITTING_BLOCK (the last may be
     shorter) and block b draws from the stream keyed by (seed, b), so the
-    times of a whole block depend only on the seed and b. In level n's own
-    clock, up-jumps form a rate-lam Poisson process and down-jumps a rate-mu n
-    one, independent of each other and of other levels. So, from target - 1
-    down, a walk that leaves n upwards u_n times (once more than it comes
-    down from n + 1 at or above the start, as often below it) spends tau_n =
-    Gamma(u_n) / lam at n and comes down from it Poisson(mu n tau_n) times:
-    one gamma and one Poisson draw per walk and visited level, not per step.
+    times of a whole block depend only on the seed and b. A ladder of at most
+    SPECTRAL_MAX_LEVELS levels draws each walk from its spectrum
+    (_spectral_block), a larger one level by level (_local_time_block).
     """
-    blocks = []
-    for first in range(0, replications, HITTING_BLOCK):
-        gen = _stream(seed, first // HITTING_BLOCK)
-        t = np.zeros(min(HITTING_BLOCK, replications - first))
-        down = 0  # each walk's jumps down from the level above
-        for n in range(target - 1, -1, -1):
-            up = down + (n >= start_state)
-            if not np.any(up):
-                break
-            tau = gen.standard_gamma(up, t.size) / lam
-            t += tau
-            down = gen.poisson(mu * n * tau)
-        blocks.append(t)
-    return np.concatenate(blocks)
+    route = _spectral_block if target <= SPECTRAL_MAX_LEVELS else _local_time_block
+    block = route(lam, mu, start_state, target)
+    return np.concatenate([
+        block(_stream(seed, first // HITTING_BLOCK), min(HITTING_BLOCK, replications - first))
+        for first in range(0, replications, HITTING_BLOCK)
+    ])
 
 
 def simulate_hitting_time(
@@ -187,9 +265,9 @@ def simulate_hitting_time(
 ) -> SimEstimate:
     """Estimate the mean time to first enter state M+1 from ``start_state``.
 
-    Each walk is the sum of its local times at the levels it visits (see
-    _hitting_times), and the standard error is the plain replication-variance
-    estimate. A run whose expected step count may exceed MAX_HITTING_STEPS is
+    Each walk is drawn exactly, from the ladder's spectrum or from its
+    local times at the levels it visits (see _hitting_times), and the
+    standard error is the plain replication-variance estimate. A run whose expected step count may exceed MAX_HITTING_STEPS is
     refused before it starts.
     """
     m, lam, mu = params.servers, params.arrival_rate, params.service_rate

@@ -5,19 +5,22 @@ checks: a full dense solve instead of banded elimination, exact rational
 arithmetic instead of floating recurrences, raw series summation instead
 of closed forms, the nested closed form instead of the one-term recurrence,
 the summed stationary average instead of the identity it collapses to,
-one scalar jump-chain walk per replication instead of a sum of per-level
-local times, a drawn service time per call and a heap of service ends
-instead of the occupancy chain's one draw pair per event, and a whole
-recorded path tallied into batches after the run instead of each batch
-tallied inside the event loop, and each quantity's batch means reduced on
-their own as a 1-D array instead of row by row from one table.
+one scalar jump-chain walk per replication instead of a sum of exponentials
+at the ladder's eigenvalues or of per-level local times, the up-passages'
+second-moment recurrence instead of the spectrum's moments, a drawn service
+time per call and a heap of service ends instead of the occupancy chain's
+one draw pair per event, and a whole recorded path tallied into batches
+after the run instead of each batch tallied inside the event loop, and each
+quantity's batch means reduced on their own as a 1-D array instead of row
+by row from one table.
 
 The reference routes for an arbitrary birth-death ladder live here as well:
 the nested sum/product hitting time, the structured tridiagonal solve, the
-truncated product-form stationary law, the Gamma waiting-time density, the
-heap-driven FCFS system, the replay of the package's occupancy chain and
-the segment-by-segment batch split of an occupancy path. The package
-computes each of these quantities one way only; these are the second ways.
+passage time's second-moment recurrence, the truncated product-form
+stationary law, the Gamma waiting-time density, the heap-driven FCFS
+system, the replay of the package's occupancy chain and the
+segment-by-segment batch split of an occupancy path. The package computes
+each of these quantities one way only; these are the second ways.
 """
 
 import bisect
@@ -141,6 +144,31 @@ def mfpt_linear_solve(ladder, target):
     for n in range(target - 2, -1, -1):
         times[n] = times[n + 1] + offsets[n]
     return times
+
+
+def passage_time_moments(ladder, start, target):
+    """Mean and variance of the time to first reach ``target`` from ``start``,
+    from the second-moment recurrence of the up-passages.
+
+    The walk is skip-free upwards, so the time is a sum of independent
+    up-passages tau_n from n to n + 1, n = start..target-1. From n the walk
+    holds an Exp(up + down) time and then either steps up or steps down and
+    must pass n - 1 and then n again: tau_n = H + I (tau_{n-1} + tau_n').
+    Taking the first two moments gives h_n = (1 + down h_{n-1}) / up and
+    s_n = (2 h_n + down (s_{n-1} + 2 h_{n-1} h_n)) / up, with down(0) = 0.
+    """
+    h = second = 0.0
+    mean = variance = 0.0
+    for n in range(target):
+        up = ladder.up(n)
+        down = ladder.down(n) if n >= 1 else 0.0
+        below = h
+        h = (1.0 + down * below) / up
+        second = (2.0 * h + down * (second + 2.0 * below * h)) / up
+        if n >= start:
+            mean += h
+            variance += second - h * h
+    return mean, variance
 
 
 def stationary_general(ladder, truncation):

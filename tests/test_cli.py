@@ -443,14 +443,25 @@ def test_simulate_hitting_mode(tmp_path, capsys):
     assert "hitting_time_mean" in capsys.readouterr().out
 
 
-def test_simulate_hitting_times_near_1e160_keep_a_finite_std_error(tmp_path):
-    # the times are finite but their squared deviations overflow
+@pytest.mark.parametrize(
+    "t_call, t_service, servers",
+    [
+        # the times are finite but their squared deviations overflow
+        pytest.param(1e160, 1e160, 1, id="1e160"),
+        # lambda x mu overflows, so the spectrum is formed in units of lambda
+        pytest.param(1e-160, 3e-160, 4, id="1e-160"),
+    ],
+)
+def test_simulate_hitting_times_near_1e160_keep_a_finite_std_error(
+    tmp_path, t_call, t_service, servers
+):
     code = run(
-        "simulate", "--mode", "hitting", "--t-call", 1e160, "--t-service", 1e160,
-        "--servers", 1, "--replications", 1500, "--seed", 1, "--out-dir", tmp_path,
+        "simulate", "--mode", "hitting", "--t-call", t_call, "--t-service", t_service,
+        "--servers", servers, "--replications", 1500, "--seed", 1, "--out-dir", tmp_path,
     )
     assert code == 0
     payload = json.loads((tmp_path / "sim.json").read_text())
+    assert math.isfinite(payload["estimates"]["hitting_time_mean"])
     std_error = payload["std_errors"]["hitting_time_mean"]
     assert math.isfinite(std_error) and std_error > 0.0
 

@@ -1,6 +1,9 @@
 import bisect
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from array import array
@@ -30,9 +33,11 @@ from ambuq.simulate import (
     MAX_FCFS_EVENTS,
     MAX_HITTING_STEPS,
     N_BATCHES,
+    SPECTRAL_MAX_LEVELS,
     SimEstimate,
     _batch_edges,
     _hitting_times,
+    _ladder_spectrum,
     _occupancy_estimates,
     _reduce,
     _Replication,
@@ -41,11 +46,13 @@ from ambuq.simulate import (
 )
 from ambuq.steady_state import MAX_CSV_ROWS
 from oracles import (
+    RateLadder,
     _estimate,
     _split,
     batch_tallies,
     hitting_times_scalar,
     occupancy_estimates_per_quantity,
+    passage_time_moments,
     path_departures_and_waits,
     replay_path,
     run_heap_fcfs_replication,
@@ -121,11 +128,28 @@ def test_hitting_time_deterministic_across_runs_and_workers():
     assert other.value != first.value
 
 
+def _both_routes(*cases):
+    """Each case on the spectral route, under its own id, then on the
+    local-time route, its id ending in -local: both are exact at any M."""
+    return [
+        pytest.param(*case, route, id="-".join(map(str, case)) + suffix)
+        for route, suffix in (("spectral", ""), ("local", "-local"))
+        for case in cases
+    ]
+
+
+def _take_route(monkeypatch, route, servers):
+    """Send a ladder of servers + 1 levels down the named hitting-time route."""
+    cap = servers + 1 if route == "spectral" else 0
+    monkeypatch.setattr("ambuq.simulate.SPECTRAL_MAX_LEVELS", cap)
+
+
 @pytest.mark.parametrize(
-    "servers, rho, start, seed",
-    [(1, 1.0, 0, 41), (6, 0.6, 3, 43), (12, 1.4, 6, 47)],
+    "servers, rho, start, seed, route",
+    _both_routes((1, 1.0, 0, 41), (6, 0.6, 3, 43), (12, 1.4, 6, 47)),
 )
-def test_level_sampler_matches_scalar_walk(servers, rho, start, seed):
+def test_level_sampler_matches_scalar_walk(monkeypatch, servers, rho, start, seed, route):
+    _take_route(monkeypatch, route, servers)
     params = SystemParams(t_call=10.0, t_service=10.0 * rho * servers, servers=servers)
     replications = 3000
     kernel = simulate_hitting_time(params, start, SimConfig(seed=seed, replications=replications))
@@ -136,12 +160,15 @@ def test_level_sampler_matches_scalar_walk(servers, rho, start, seed):
 
 
 @pytest.mark.parametrize(
-    "servers, rho, start, seed",
+    "servers, rho, start, seed, route",
     # one server; rho < 1 with the levels below the start visited; rho > 1 at M = 12
-    [(1, 0.8, 1, 51), (4, 0.5, 3, 53), (12, 1.2, 0, 59)],
+    _both_routes((1, 0.8, 1, 51), (4, 0.5, 3, 53), (12, 1.2, 0, 59)),
 )
-def test_level_sampler_matches_scalar_walk_in_distribution(servers, rho, start, seed):
+def test_level_sampler_matches_scalar_walk_in_distribution(
+    monkeypatch, servers, rho, start, seed, route
+):
     # the two-sample Kolmogorov-Smirnov test sees the whole law, not just the mean
+    _take_route(monkeypatch, route, servers)
     params = SystemParams(t_call=10.0, t_service=10.0 * rho * servers, servers=servers)
     replications = 3000
     kernel = _hitting_times(
@@ -151,16 +178,93 @@ def test_level_sampler_matches_scalar_walk_in_distribution(servers, rho, start, 
     assert ks_2samp(kernel, scalar).pvalue > 0.01
 
 
-def test_hitting_blocks_are_fixed():
+def test_hitting_blocks_are_fixed(monkeypatch):
     # a block's walks share one stream, so only whole blocks survive a
-    # change in the replication count
+    # change in the replication count, on either route
     params = SystemParams(t_call=16, t_service=50, servers=6)
     args = (params.arrival_rate, params.service_rate, 2, params.servers + 1, 13)
-    full = _hitting_times(*args, HITTING_BLOCK)
-    longer = _hitting_times(*args, HITTING_BLOCK + 1)
     assert HITTING_BLOCK == 1024
-    assert np.array_equal(longer[:HITTING_BLOCK], full)
-    assert not np.array_equal(_hitting_times(*args, HITTING_BLOCK - 1), full[:-1])
+    for route in ("spectral", "local"):
+        _take_route(monkeypatch, route, params.servers)
+        full = _hitting_times(*args, HITTING_BLOCK)
+        longer = _hitting_times(*args, HITTING_BLOCK + 1)
+        assert np.array_equal(longer[:HITTING_BLOCK], full)
+        assert not np.array_equal(_hitting_times(*args, HITTING_BLOCK - 1), full[:-1])
+
+
+def test_hitting_route_switches_above_the_spectral_cap(monkeypatch):
+    # SPECTRAL_MAX_LEVELS levels are drawn from the spectrum; one level more
+    # takes the local-time route, which is exact there too
+    def args(servers):
+        params = SystemParams(t_call=10.0, t_service=20.0 * servers, servers=servers)
+        return params.arrival_rate, params.service_rate, servers, servers + 1, 61, 500
+
+    no_solve = mock.patch("numpy.linalg.eigvalsh", side_effect=AssertionError("spectral route"))
+    with no_solve, pytest.raises(AssertionError, match="spectral route"):
+        _hitting_times(*args(SPECTRAL_MAX_LEVELS - 1))
+    with no_solve:
+        above = _hitting_times(*args(SPECTRAL_MAX_LEVELS))
+    monkeypatch.setattr("ambuq.simulate.SPECTRAL_MAX_LEVELS", 0)
+    assert np.array_equal(above, _hitting_times(*args(SPECTRAL_MAX_LEVELS)))
+    params = SystemParams(t_call=10.0, t_service=20.0 * SPECTRAL_MAX_LEVELS, servers=SPECTRAL_MAX_LEVELS)
+    exact = mfpt_critical_profile(params).times[-1]
+    assert abs((above.mean() - exact) / (above.std(ddof=1) / math.sqrt(above.size))) < 4.0
+
+
+@pytest.mark.parametrize("servers", [1, 2, 5, 12, 20, SPECTRAL_MAX_LEVELS - 1])
+def test_spectral_moments_match_the_passage_time_recurrences(servers):
+    # the law the spectral route draws, sum_j B_j E_j scale_j, has mean
+    # sum_j P(B_j) scale_j and variance sum_j P(B_j) (2 - P(B_j)) scale_j^2;
+    # they must match the saturation time and the independent second-moment
+    # recurrence of the up-passages, at every start the step budget admits
+    checked = 0
+    for rho in (0.3, 0.8, 1.0, 1.5, 3.0):
+        params = SystemParams(t_call=10.0, t_service=10.0 * rho * servers, servers=servers)
+        lam, mu = params.arrival_rate, params.service_rate
+        times = mfpt_critical_profile(params).times
+        for start in range(servers + 1):
+            if not HITTING_BLOCK * times[start] * (lam + servers * mu) <= MAX_HITTING_STEPS:
+                continue
+            scale, weight = _ladder_spectrum(lam, mu, start, servers + 1)
+            assert np.all((weight >= 0.0) & (weight <= 1.0))
+            kept = np.concatenate([weight, np.ones(servers + 1 - start)])
+            mean = (kept * scale).sum()
+            variance = (kept * (2.0 - kept) * scale**2).sum()
+            _, exact_variance = passage_time_moments(RateLadder.for_fleet(params), start, servers + 1)
+            assert mean == pytest.approx(times[start], rel=1e-9)
+            assert variance == pytest.approx(exact_variance, rel=1e-9)
+            checked += 1
+    assert checked >= servers + 1
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e-160])
+def test_ladder_spectrum_is_formed_in_units_of_lambda(factor):
+    # lam x mu leaves the float range at these scales; the spectrum must not
+    params = SystemParams(t_call=15, t_service=50, servers=6)
+    lam, mu = params.arrival_rate, params.service_rate
+    scale, weight = _ladder_spectrum(lam, mu, 3, 7)
+    scaled, scaled_weight = _ladder_spectrum(lam * factor, mu * factor, 3, 7)
+    np.testing.assert_allclose(scaled * factor, scale, rtol=1e-12)
+    np.testing.assert_allclose(scaled_weight, weight, rtol=1e-12)
+
+
+def test_spectral_route_is_the_same_at_any_blas_thread_count():
+    # the eigen solve and the sum over levels run in a fixed order, so the
+    # times do not depend on how many threads BLAS may start
+    script = (
+        "import hashlib, sys; from ambuq.simulate import SPECTRAL_MAX_LEVELS, _hitting_times; "
+        "m = SPECTRAL_MAX_LEVELS - 1; "
+        "t = _hitting_times(0.1, 0.1 / m, m // 2, m + 1, 3, 1500); "
+        "sys.stdout.write(hashlib.sha256(t.tobytes()).hexdigest())"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.update({name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 def test_hitting_run_over_the_step_budget_is_refused(time_limit):
