@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import NoSteadyStateError, ParameterError
@@ -26,6 +26,7 @@ from .params import SystemParams, as_int, as_real, derive, is_stable, require_st
 from .service_metrics import full_report
 from .simulate import SimConfig, compare, simulate_hitting_time, simulate_stationary
 from .sizing import SizingQuery, min_fleet
+from .steady_state import MAX_CSV_ROWS
 from .steady_state import p_occupation_by_fleet, queue_stats, stationary_csv_length, stationary_csv_rows
 
 # Nothing here calls these; perfbench/tracing.py wraps them by name here.
@@ -48,12 +49,6 @@ WAITS_CSV_HEADER = "call_index,wait_min"
 # Largest list a 'lo..hi' fleet range or 'lo..hi:step' grid may expand to.
 MAX_EXPANSION = 10_000
 
-_CONFIG_KEYS = {
-    "t_call_min", "t_service_min", "servers", "t_los_min", "cost_per_attention",
-    "t_call_grid", "seed", "replications", "warmup_min", "horizon_min", "start_state",
-}
-
-
 @dataclass
 class ScenarioConfig:
     """Merged scenario: config file values overridden by command-line flags."""
@@ -69,6 +64,9 @@ class ScenarioConfig:
     warmup_min: float | None = None
     horizon_min: float | None = None
     start_state: int = 0
+
+
+_CONFIG_KEYS = {field.name for field in fields(ScenarioConfig)}
 
 
 def _number(text: str):
@@ -265,6 +263,13 @@ def write_stationary_csv(params: SystemParams, path, write=_write_lines) -> None
     )
 
 
+def _require_output_size(count: int, what: str) -> None:
+    """Refuse a command whose output would hold more than MAX_CSV_ROWS
+    entries of one kind, however they are split over files."""
+    if count > MAX_CSV_ROWS:
+        raise ParameterError(f"{what}: {count}, more than the {MAX_CSV_ROWS} one command may write")
+
+
 def _fmt_minutes(minutes: float, hours: bool) -> str:
     if hours:
         return f"{minutes / 60.0:.4g} h"
@@ -280,12 +285,14 @@ def _cmd_analyze(args) -> int:
     # no partial output.
     checked = []
     rhos = []
+    csv_rows = 0
     for m in scenario.servers:
         params = _params_for(scenario, m)
         rhos.append(require_steady_state(params).rho)
         if args.stationary_csv:
-            stationary_csv_length(params)  # refuses an over-long dump
+            csv_rows += stationary_csv_length(params)  # refuses an over-long dump
         checked.append(params)
+    _require_output_size(csv_rows, "stationary CSV rows")
     occups = p_occupation_by_fleet(
         scenario.t_call_min, scenario.t_service_min, scenario.servers
     )
@@ -336,6 +343,9 @@ def _cmd_mfpt(args) -> int:
     # Everything is computed and checked before any file is written, so an
     # overflow leaves no partial output behind, and the summary is printed
     # after the last write.
+    _require_output_size(sum(m + 1 for m in scenario.servers), "mfpt.json saturation times")
+    sweep_rows = len(scenario.servers) * len(scenario.t_call_grid or ())
+    _require_output_size(sweep_rows, "mfpt_sweep.csv rows")
     profiles = []
     display = []
     for m in scenario.servers:
@@ -375,22 +385,23 @@ def _cmd_size(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
 
-    goals = {
-        "stability": args.stability,
+    targets = {
         "los_target": args.los_target,
         "occup_ceiling": args.occup_max,
         "mfpt_horizon": args.horizon,
     }
-    chosen = [kind for kind, value in goals.items() if value]
+    # a target of 0 is chosen too, for SizingQuery to refuse by name
+    chosen = [kind for kind, target in targets.items() if target is not None]
+    if args.stability:
+        chosen.append("stability")
     if len(chosen) != 1:
         raise ParameterError(
             "choose exactly one of --stability, --los-target, --occup-max, --horizon"
         )
     kind = chosen[0]
-    target = None if kind == "stability" else goals[kind]
     query = SizingQuery(
         kind=kind,
-        target=target,
+        target=targets.get(kind),
         t_los=scenario.t_los_min if kind == "los_target" else None,
         m_max=args.m_max,
     )

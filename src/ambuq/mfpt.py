@@ -1,9 +1,10 @@
 """Mean first-passage times of the occupancy walk to fleet saturation.
 
 The walk reflects at 0 and saturates on first entry into state M+1 (all
-servers assigned and one call newly queued). ``mfpt_critical_profile`` and
-``mfpt_sweep`` sum the one-term recurrence of the fleet ladder in O(M) per
-call spacing; it never forms factorials or separate powers. The tests
+servers assigned and one call newly queued). ``_offsets`` sums the one-term
+recurrence of the fleet ladder and each fleet's mean saturation time in
+O(M) per call spacing, for ``mfpt_critical_profile``, ``mfpt_sweep`` and the
+sizing scan; it never forms factorials or separate powers. The tests
 cross-check it against the nested sum/product expression and a tridiagonal
 solve, both in tests/oracles.py.
 """
@@ -11,7 +12,7 @@ solve, both in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
@@ -34,44 +35,42 @@ class MfptProfile:
         return len(self.times) - 1
 
 
-def _offsets(params: SystemParams) -> Iterator[float]:
-    """Yield h(0), h(1), ...: the mean time to first step from n up to n+1.
+def _offsets(params: SystemParams) -> Iterator[tuple[float, float]]:
+    """Yield (h(n), fleet n's mean saturation time) for n = 0, 1, ...
 
-    h(0) = t_call and h(n) = t_call * (1 + n * mu * h(n-1)). For n <= M the
-    fleet cap on the service rate is not reached, so h(n) does not depend on
-    the fleet size and one pass serves every fleet up to the last one read.
-    A value past the float range is inf, and so is every later one.
+    h(n), the mean time to first step from n up to n+1, is t_call at n = 0
+    and t_call * (1 + n * mu * h(n-1)) after; the mean is
+    sum_{k<=n} (k+1) h(k) / (n+1). Up to n = M the fleet cap on the service
+    rate is not reached, so neither depends on the fleet size and one pass
+    serves every fleet up to the last one read. A value past the float range
+    is inf, and so is every later one.
     """
     t_call = params.t_call
     mu = params.service_rate
     h = t_call
-    n = 0
+    weighted = 0.0
+    k = 1.0  # n + 1, a float: exact below 2**53, and no int is converted
     while True:
-        yield h
-        n += 1
-        h = t_call * (1.0 + n * mu * h)
+        weighted += k * h
+        yield h, weighted / k
+        h = t_call * (1.0 + k * mu * h)
+        k += 1.0
 
 
 def mfpt_critical_profile(params: SystemParams) -> MfptProfile:
     """Saturation-time profile T(0..M) for the fleet ladder.
 
     T(n) = sum_{k=n..M} h(k) with the one-term recurrence of ``_offsets``,
-    and the initial-state average is sum_k (k+1) h(k) / (M+1). Valid for any
-    traffic intensity; no steady state is required. O(M) time and memory.
-    Every term is positive, so a time past the float range comes out as inf
+    which also gives the initial-state average. Valid for any traffic
+    intensity; no steady state is required. O(M) time and memory. Every
+    term is positive, so a time past the float range comes out as inf
     (never nan), as does every time before it and ``mean_time``.
     """
     m = params.servers
-    offsets = list(islice(_offsets(params), m + 1))
-    times = [0.0] * (m + 1)
-    tail = 0.0
-    for n in range(m, -1, -1):
-        tail += offsets[n]
-        times[n] = tail
-    weighted = 0.0
-    for k, h in enumerate(offsets):
-        weighted += (k + 1) * h
-    return MfptProfile(times=tuple(times), mean_time=weighted / (m + 1))
+    steps = list(islice(_offsets(params), m + 1))
+    times = list(accumulate(reversed([h for h, _ in steps])))  # T(M), ..., T(0)
+    times.reverse()
+    return MfptProfile(times=tuple(times), mean_time=steps[m][1])
 
 
 def mfpt_sweep(
@@ -92,16 +91,16 @@ def mfpt_sweep(
         SystemParams(t_call=t_call_grid[0], t_service=t_service, servers=m).servers
         for m in servers_list
     ]
-    wanted = set(fleets)
+    wanted = sorted(set(fleets))
     by_t_call = []
     for t_call in t_call_grid:
         params = SystemParams(t_call=t_call, t_service=t_service, servers=1)
+        steps = _offsets(params)
         means = {}
-        weighted = 0.0
-        for k, h in zip(range(max(fleets) + 1), _offsets(params)):
-            weighted += (k + 1) * h
-            if k in wanted:
-                means[k] = weighted / (k + 1)
+        n = 0  # the step that steps yields next
+        for m in wanted:  # islice skips the steps between two wanted fleets
+            _, means[m] = next(islice(steps, m - n, None))
+            n = m + 1
         by_t_call.append((params.t_call, means))
     return [(t_call, m, means[m]) for m in fleets for t_call, means in by_t_call]
 

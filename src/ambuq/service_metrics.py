@@ -43,9 +43,19 @@ class ServiceReport:
         return dict(self.__dict__)
 
 
+def _wait_rate_at(rho: float, servers: int, service_rate: float) -> float:
+    """The conditional wait's exponential rate, (1 - rho) M mu."""
+    return (1.0 - rho) * servers * service_rate
+
+
+def _los(p_occup: float, wait_rate: float, t_los: float) -> float:
+    """The share of calls answered within t_los, 1 - p_occup exp(-rate t_los);
+    at p_occup = 1 it is the conditional wait's distribution function."""
+    return 1.0 - p_occup * math.exp(-wait_rate * t_los)
+
+
 def _wait_rate(params: SystemParams) -> float:
-    d = require_steady_state(params)
-    return (1.0 - d.rho) * params.servers * params.service_rate
+    return _wait_rate_at(require_steady_state(params).rho, params.servers, params.service_rate)
 
 
 def wait_density(t: float, params: SystemParams) -> float:
@@ -69,8 +79,7 @@ def level_of_service(params: SystemParams, t_los: float) -> float:
     threshold with the exponential tail above.
     """
     t_los = as_real(t_los, "t_los")
-    rate = _wait_rate(params)
-    return 1.0 - p_occupation(params) * math.exp(-rate * t_los)
+    return _los(p_occupation(params), _wait_rate(params), t_los)
 
 
 def p_server_busy(params: SystemParams) -> float:
@@ -115,15 +124,15 @@ def full_report(
     """
     t_los = as_real(t_los, "t_los")
     cost_per_attention = as_real(cost_per_attention, "cost_per_attention")
-    rate = _wait_rate(params)
+    busy = require_steady_state(params).rho  # p_server_busy's value
+    rate = _wait_rate_at(busy, params.servers, params.service_rate)
     occup = p_occupation(params) if p_occup is None else p_occup
-    busy = p_server_busy(params)
     mean_wait_min = 1.0 / rate
     return ServiceReport(
         wait_rate=rate,
         mean_wait=mean_wait_min,
         mean_wait_unconditional=occup * mean_wait_min,
-        los=1.0 - occup * math.exp(-rate * t_los),
+        los=_los(occup, rate, t_los),
         t_los=t_los,
         p_busy=busy,
         p_occup=occup,

@@ -67,7 +67,7 @@ import numpy as np
 from .errors import ParameterError
 from .mfpt import mfpt_critical_profile
 from .params import SystemParams, as_int, as_real, derive, is_stable
-from .service_metrics import mean_wait
+from .service_metrics import _los, _wait_rate, mean_wait, p_server_busy
 from .steady_state import MAX_CSV_ROWS
 from .steady_state import p_occupation, queue_conditional_pmf, queue_stats, stationary_profile
 
@@ -744,17 +744,16 @@ def compare(
         start_state = as_int(start_state, "start_state", minimum=0, maximum=params.servers)
         analytic = {"hitting_time_mean": mfpt_critical_profile(params).times[start_state]}
     elif mode == "stationary":
-        profile, rho = stationary_profile(params), derive(params).rho
-        rate = (1.0 - rho) * params.servers * params.service_rate
+        profile = stationary_profile(params)
         analytic = {
             **{f"pi_{n}": profile.pi(n) for n in range(params.servers + 6)},
             **{f"cond_queue_{k}": queue_conditional_pmf(params, k) for k in range(11)},
             "p_occup": p_occupation(params),
             "mean_queue_len_conditional": queue_stats(params).mean_len,
-            "p_busy_per_server": rho,
+            "p_busy_per_server": p_server_busy(params),
             "throughput": params.arrival_rate,
             "wait_mean_conditional": mean_wait(params),
-            "wait_cdf_at_t_los": 1.0 - math.exp(-rate * t_los),
+            "wait_cdf_at_t_los": _los(1.0, _wait_rate(params), t_los),
         }
     else:
         raise ParameterError(f"mode must be 'stationary' or 'hitting', got {mode!r}")

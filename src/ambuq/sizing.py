@@ -4,22 +4,22 @@ Monotonicity of the probability targets in M is empirically solid but not
 proven, so the search is an ascending scan that stops only at the first
 fleet meeting the target. The scan is incremental: each fleet extends the
 previous fleet's Erlang-B blocking value or saturation-time prefix sum, so
-a fleet costs O(1). The metrics use the same expressions as
+a fleet costs O(1). The metrics use the same helpers as
 ``p_occupation``, ``level_of_service`` and ``mfpt_critical_profile``, so
 every value equals what those return at that fleet.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Iterator
 
 from .errors import ParameterError
 from .mfpt import _offsets
 from .params import MAX_FLEET, SystemParams, as_int, as_real, derive, stability_bound
-from .steady_state import _erlang_b
+from .service_metrics import _los, _wait_rate_at
+from .steady_state import _erlang_b, _erlang_c
 
 # The scan calls none of these; perfbench/tracing.py wraps them by name here.
 from .mfpt import mfpt_critical_profile
@@ -89,23 +89,16 @@ def _metric_by_fleet(kind: str, params: SystemParams, t_los: float | None) -> It
         for m in count(params.servers):
             yield a / m
     elif kind == "mfpt_horizon":
-        weighted = 0.0
-        for k, h in enumerate(_offsets(params)):
-            weighted += (k + 1) * h
-            if k >= params.servers:
-                yield weighted / (k + 1)
+        for _, mean_time in islice(_offsets(params), params.servers, None):
+            yield mean_time
     else:
         mu = params.service_rate
         blocking = _erlang_b(a, [params.servers - 1])[0]
         for m in count(params.servers):
             blocking = a * blocking / (m + a * blocking)
             rho = a / m
-            occup = blocking / (1.0 - rho * (1.0 - blocking))
-            if kind == "occup_ceiling":
-                yield occup
-            else:
-                rate = (1.0 - rho) * m * mu
-                yield 1.0 - occup * math.exp(-rate * t_los)
+            occup = _erlang_c(blocking, rho)
+            yield occup if kind == "occup_ceiling" else _los(occup, _wait_rate_at(rho, m, mu), t_los)
 
 
 def min_fleet(t_call: float, t_service: float, query: SizingQuery) -> SizingResult:

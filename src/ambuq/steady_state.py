@@ -1,11 +1,12 @@
 """Stationary occupancy distribution, occupation probability, queue-length law.
 
-The all-busy probability comes from the Erlang-B recurrence
-(``p_occupation``, or ``p_occupation_by_fleet`` for several fleets from one
-pass). The distribution below the fleet size is built
-outwards from its mode; at and above the fleet size the tail is exactly
-geometric with ratio rho, so the tail is kept symbolic as (pi_M, rho)
-rather than materialized.
+The all-busy probability is the Erlang-C form (``_erlang_c``, which the
+sizing scan shares) of the Erlang-B recurrence (``p_occupation``, or
+``p_occupation_by_fleet`` for several fleets from one pass). The
+distribution below the fleet size is built outwards from its mode; at and
+above the fleet size the tail is exactly geometric with ratio rho, so the
+tail is kept symbolic as (pi_M, rho) rather than materialized; its mass
+head[M] / (1 - rho) is ``p_occupation``'s value up to rounding.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
-from .params import SystemParams, as_int, derive, require_steady_state
-
-# rho this close to 1 still has a steady state, but queue moments blow up
-# like 1/(1-rho); the profile carries a conditioning flag instead of failing.
-ILL_CONDITIONING_BAND = 1e-9
+from .params import SystemParams, as_int, require_steady_state
 
 # Most rows a stationary CSV may hold. The tail down to 1e-9 mass takes
 # about 20.7 / (1 - rho) rows, so this refuses rho within about 2e-5 of 1.
@@ -55,23 +52,23 @@ def _erlang_b(a: float, fleets: Sequence[int]) -> list[float]:
     return values
 
 
-def _occupations(a: float, fleets: Sequence[int], rhos: Sequence[float]) -> list[float]:
-    """The queueing form B(M) / (1 - rho (1 - B(M))) at each fleet M."""
-    return [b / (1.0 - rho * (1.0 - b)) for b, rho in zip(_erlang_b(a, fleets), rhos)]
+def _erlang_c(blocking: float, rho: float) -> float:
+    """The queueing form B / (1 - rho (1 - B)) of the Erlang-B value B at
+    traffic intensity rho: the probability that every server is busy."""
+    return blocking / (1.0 - rho * (1.0 - blocking))
 
 
-def _occupancy_weights(params: SystemParams) -> tuple[list[float], float, float]:
-    """The head pi_0..pi_M, the occupation probability and rho.
+def _occupancy_weights(params: SystemParams) -> tuple[list[float], float]:
+    """The head pi_0..pi_M and rho.
 
     The weights a^n / n! are scaled to 1 at the mode n = floor(a) and built
     outwards from it, times n / a going down and a / n going up. No weight
     exceeds 1, so nothing overflows at any offered load, and the mode never
     underflows; weights far from it may. The normalisation folds the
-    geometric tail into the last term. The occupation probability is
-    ``p_occupation``'s. Raises NoSteadyStateError when rho >= 1.
+    geometric tail into the last term. Raises NoSteadyStateError when
+    rho >= 1.
     """
-    p_occup = p_occupation(params)
-    d = derive(params)
+    d = require_steady_state(params)
     m = params.servers
     a = d.offered_load
     mode = math.floor(a)  # below m, since rho < 1
@@ -85,7 +82,7 @@ def _occupancy_weights(params: SystemParams) -> tuple[list[float], float, float]
         w = w * a / n
         weights[n] = w
     norm = sum(weights[:m]) + weights[m] / (1.0 - d.rho)
-    return [w / norm for w in weights], p_occup, d.rho
+    return [w / norm for w in weights], d.rho
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,6 @@ class StationaryProfile:
 
     head: tuple[float, ...]
     tail_ratio: float
-    p_occup: float
-    ill_conditioned: bool
 
     @property
     def servers(self) -> int:
@@ -114,24 +109,16 @@ class StationaryProfile:
 
 def stationary_profile(params: SystemParams) -> StationaryProfile:
     """Closed-form stationary distribution; requires traffic intensity < 1."""
-    head, p_occup, rho = _occupancy_weights(params)
-    return StationaryProfile(
-        head=tuple(head),
-        tail_ratio=rho,
-        p_occup=p_occup,
-        ill_conditioned=rho >= 1.0 - ILL_CONDITIONING_BAND,
-    )
+    head, rho = _occupancy_weights(params)
+    return StationaryProfile(head=tuple(head), tail_ratio=rho)
 
 
 def p_occupation(params: SystemParams) -> float:
-    """Probability that every server is busy (an arriving call must queue).
-
-    Evaluated through the blocking-probability recurrence
-    B(n) = a B(n-1) / (n + a B(n-1)), then converted to the queueing form
-    B(M) / (1 - rho (1 - B(M))). Numerically stable for any fleet size.
-    """
+    """Probability that every server is busy (an arriving call must queue):
+    the Erlang-C form of the Erlang-B recurrence B(n) = a B(n-1) / (n + a
+    B(n-1)), numerically stable for any fleet size."""
     d = require_steady_state(params)
-    return _occupations(d.offered_load, [params.servers], [d.rho])[0]
+    return _erlang_c(_erlang_b(d.offered_load, [params.servers])[0], d.rho)
 
 
 def p_occupation_by_fleet(
@@ -152,7 +139,7 @@ def p_occupation_by_fleet(
         servers.append(params.servers)
         rhos.append(d.rho)
         a = d.offered_load
-    return _occupations(a, servers, rhos)
+    return [_erlang_c(b, rho) for b, rho in zip(_erlang_b(a, servers), rhos)]
 
 
 def queue_conditional_pmf(params: SystemParams, k: int) -> float:

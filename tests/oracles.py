@@ -36,7 +36,10 @@ from unittest import mock
 
 import numpy as np
 
-from ambuq import NoSteadyStateError, ParameterError, derive, queue_conditional_pmf, simulate_stationary
+from ambuq import (
+    NoSteadyStateError, ParameterError, SystemParams, derive, queue_conditional_pmf,
+    simulate_stationary,
+)
 from ambuq.params import as_int, as_real, require_steady_state
 from ambuq.simulate import (
     _DRAW_BLOCK,
@@ -561,6 +564,18 @@ def hitting_times_dense(ladder, target):
         if n >= 1:
             A[n, n - 1] = -down
     return np.linalg.solve(A, np.ones(target))
+
+
+def supported_range_params():
+    """Scenarios across the supported range: fleets 1 to 10^4, offered
+    loads up to 10^4 and rho from 0.01 up to 1 - 1e-9, at two service
+    times so that t_call is seldom a round number."""
+    for servers in (1, 2, 7, 300, 10**4):
+        for rho in (0.01, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9):
+            for t_service in (50.0, 7.3):
+                yield SystemParams(
+                    t_call=t_service / (servers * rho), t_service=t_service, servers=servers
+                )
 
 
 def occupation_probability_exact(t_call, t_service, servers):

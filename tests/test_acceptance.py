@@ -152,7 +152,7 @@ def test_criterion_5_stationary_oracle_equivalence():
     rate = (1.0 - derive(REFERENCE).rho) * 6 / 50
     targets = {f"pi_{n}": profile.pi(n) for n in range(12)}
     targets.update({f"cond_queue_{k}": queue_conditional_pmf(REFERENCE, k) for k in range(11)})
-    targets["p_occup"] = profile.p_occup
+    targets["p_occup"] = p_occupation(REFERENCE)
     targets["wait_mean_conditional"] = mean_wait(REFERENCE)
     targets["wait_cdf_at_t_los"] = 1.0 - math.exp(-rate * 30.0)
     worst_z = 0.0

@@ -12,9 +12,12 @@ from ambuq import (
     mfpt_critical_profile,
     stationary_profile,
 )
-from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _write_lines, build_parser, main
+from ambuq.cli import (
+    STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _require_output_size, _write_lines, build_parser, main,
+)
 from ambuq.params import MAX_FLEET
 from ambuq.simulate import MAX_REPLICATIONS
+from ambuq.steady_state import MAX_CSV_ROWS
 
 
 def run(*argv):
@@ -227,6 +230,37 @@ def test_size_requires_exactly_one_goal(tmp_path):
     assert run(
         "size", *BASE, "--servers", 1, "--stability", "--horizon", 480, "--out-dir", tmp_path
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a goal flag given as 0 is given, and its target is refused by name
+        (("size", *BASE, "--servers", 1, "--stability", "--horizon", 0), "choose exactly one of"),
+        (("size", *BASE, "--servers", 1, "--los-target", 0), "target must be finite and > 0, got 0"),
+        (("size", *BASE, "--servers", 1, "--occup-max", 0), "target must be finite and > 0, got 0"),
+        (("size", *BASE, "--servers", 1, "--horizon", 0), "target must be finite and > 0, got 0"),
+        # outputs past MAX_CSV_ROWS entries in all, though under it in each file
+        (("analyze", "--t-call", 1, "--t-service", 1, "--servers", "2..10000", "--stationary-csv"),
+         "stationary CSV rows: 50046339, more than the 1000000 one command may write"),
+        (("mfpt", "--t-call", 1, "--t-service", 20000, "--servers", "1..10000"),
+         "mfpt.json saturation times: 50015000, more than the 1000000"),
+        (("mfpt", *BASE, "--servers", "1..200", "--t-call-grid", "1..10000:1"),
+         "mfpt_sweep.csv rows: 2000000, more than the 1000000"),
+    ],
+)
+def test_refused_with_one_error_line_before_any_output(tmp_path, capsys, argv, message):
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert written(tmp_path) == []
+
+
+def test_output_cap_admits_exactly_max_csv_rows():
+    _require_output_size(MAX_CSV_ROWS, "rows")
+    with pytest.raises(ParameterError, match=f"rows: {MAX_CSV_ROWS + 1}, more than"):
+        _require_output_size(MAX_CSV_ROWS + 1, "rows")
 
 
 def test_analyze_stationary_csv_at_large_offered_load(tmp_path):

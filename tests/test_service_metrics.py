@@ -24,7 +24,9 @@ from ambuq import (
     wait_density,
 )
 
-from oracles import busy_fraction_summed, gamma_wait_density, wait_mixture_density
+from oracles import (
+    busy_fraction_summed, gamma_wait_density, supported_range_params, wait_mixture_density,
+)
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
 
@@ -220,6 +222,20 @@ def test_report_with_given_occupation_is_identical():
             assert repr(given.to_dict()) == repr(computed.to_dict())
     with pytest.raises(TypeError):  # keyword-only
         full_report(REFERENCE, 30.0, 0.0, p_occupation(REFERENCE))
+
+
+def test_report_equals_each_metric_to_the_bit():
+    # full_report computes each quantity once, from the helpers the
+    # single-metric functions use, so no value may drift from theirs
+    for params in supported_range_params():
+        for t_los in (0.0, 30.0, 1e4):
+            report = full_report(params, t_los, 2.5)
+            case = (params, t_los)
+            assert report.mean_wait == mean_wait(params), case
+            assert report.los == level_of_service(params, t_los), case
+            assert report.p_busy == p_server_busy(params), case
+            assert report.throughput == throughput(params), case
+            assert report.cost_rate == cost_rate(params, 2.5), case
 
 
 def test_metrics_require_steady_state():

@@ -18,6 +18,8 @@ from ambuq import (
     derive,
     mean_wait,
     mfpt_critical_profile,
+    p_occupation,
+    p_server_busy,
     queue_conditional_pmf,
     queue_stats,
     simulate_hitting_time,
@@ -56,6 +58,7 @@ from oracles import (
     run_heap_fcfs_replication,
     simulate_heap_fcfs,
     split_histograms,
+    supported_range_params,
 )
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
@@ -371,6 +374,19 @@ def test_compare_z_rule():
                           (throughput + 0.01 - throughput) / 0.004)
     # names with no estimate (here every wait and queue quantity) are skipped
     assert compare(params, {}) == []
+
+
+def test_compare_reads_the_public_values_to_the_bit():
+    public = {
+        "p_occup": p_occupation,
+        "mean_queue_len_conditional": lambda params: queue_stats(params).mean_len,
+        "wait_mean_conditional": mean_wait,
+        "p_busy_per_server": p_server_busy,
+    }
+    estimates = {name: SimEstimate(0.0, 1.0, 20, 1) for name in public}
+    for params in supported_range_params():
+        analytic = {name: ref for name, _, _, ref, _ in compare(params, estimates)}
+        assert analytic == {name: value(params) for name, value in public.items()}, params
 
 
 def test_compare_hitting_mode():
@@ -707,7 +723,7 @@ def test_stationary_estimates_match_analytics():
     d = derive(REFERENCE)
     rate = (1.0 - d.rho) * 6 / 50
     checks = {
-        "p_occup": profile.p_occup,
+        "p_occup": p_occupation(REFERENCE),
         "throughput": REFERENCE.arrival_rate,
         "wait_mean_conditional": mean_wait(REFERENCE),
         "wait_cdf_at_t_los": 1.0 - math.exp(-rate * 30.0),
@@ -879,7 +895,7 @@ def test_wait_collection():
     assert isinstance(waits, array) and waits.typecode == "d" and len(waits) > 1000
     assert all(w >= 0.0 for w in waits)
     share_waiting = sum(1 for w in waits if w > 0.0) / len(waits)
-    assert share_waiting == pytest.approx(stationary_profile(REFERENCE).p_occup, abs=0.02)
+    assert share_waiting == pytest.approx(p_occupation(REFERENCE), abs=0.02)
     plain = simulate_stationary(REFERENCE, SHORT, t_los=30.0)
     assert plain.waits is None
 
@@ -887,4 +903,4 @@ def test_wait_collection():
 def test_start_state_seeding():
     cfg = SimConfig(seed=31, replications=1, warmup=500.0, horizon=50500.0, start_state=9)
     result = simulate_stationary(REFERENCE, cfg, t_los=30.0)
-    assert abs(zscore(result.estimates["p_occup"], stationary_profile(REFERENCE).p_occup)) < 3.0
+    assert abs(zscore(result.estimates["p_occup"], p_occupation(REFERENCE))) < 3.0
