@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import NoSteadyStateError, ParameterError
 from .mfpt import mfpt_critical_profile, mfpt_sweep
 from .params import SystemParams, as_int, as_real, derive, is_stable, require_steady_state
-from .service_metrics import full_report
+from .service_metrics import _miss, full_report
 from .simulate import SimConfig, compare, simulate_hitting_time, simulate_stationary
 from .sizing import SizingQuery, min_fleet
 from .steady_state import MAX_CSV_ROWS
@@ -284,11 +284,10 @@ def _cmd_analyze(args) -> int:
     # and the summary is printed after the last write, so a refusal leaves
     # no partial output.
     checked = []
-    rhos = []
     csv_rows = 0
     for m in scenario.servers:
         params = _params_for(scenario, m)
-        rhos.append(require_steady_state(params).rho)
+        require_steady_state(params)
         if args.stationary_csv:
             csv_rows += stationary_csv_length(params)  # refuses an over-long dump
         checked.append(params)
@@ -300,19 +299,21 @@ def _cmd_analyze(args) -> int:
     reports = []
     summary_lines = []
     display = []
-    for m, params, rho, occup in zip(scenario.servers, checked, rhos, occups):
+    for m, params, occup in zip(scenario.servers, checked, occups):
         report = full_report(
             params, scenario.t_los_min, scenario.cost_per_attention, p_occup=occup
         )
         reports.append(report.to_dict())
         stats = queue_stats(params)
+        miss = _miss(report.p_occup, report.wait_rate, report.t_los)
+        # the rho column is p_busy, the same float
         summary_lines.append(
-            f"{m},{rho!r},{report.p_occup!r},{report.p_busy!r},{report.los!r},"
-            f"{1.0 - report.los!r},{stats.mean_len!r},{stats.std_len!r},{report.mean_wait!r}\n"
+            f"{m},{report.p_busy!r},{report.p_occup!r},{report.p_busy!r},{report.los!r},"
+            f"{miss!r},{stats.mean_len!r},{stats.std_len!r},{report.mean_wait!r}\n"
         )
         display.append(
-            f"M={m}: rho={rho:.6g} p_occup={report.p_occup:.6g} p_busy={report.p_busy:.6g} "
-            f"LOS({scenario.t_los_min:g} min)={report.los:.6g} "
+            f"M={m}: rho={report.p_busy:.6g} p_occup={report.p_occup:.6g} "
+            f"p_busy={report.p_busy:.6g} LOS({scenario.t_los_min:g} min)={report.los:.6g} "
             f"mean_wait={_fmt_minutes(report.mean_wait, args.hours)} "
             f"throughput={report.throughput:.6g}/min"
         )

@@ -48,10 +48,15 @@ def _wait_rate_at(rho: float, servers: int, service_rate: float) -> float:
     return (1.0 - rho) * servers * service_rate
 
 
+def _miss(p_occup: float, wait_rate: float, t_los: float) -> float:
+    """The share of calls still waiting at t_los, p_occup exp(-rate t_los):
+    1 - LOS, without the cancellation of forming it from the LOS."""
+    return p_occup * math.exp(-wait_rate * t_los)
+
+
 def _los(p_occup: float, wait_rate: float, t_los: float) -> float:
-    """The share of calls answered within t_los, 1 - p_occup exp(-rate t_los);
-    at p_occup = 1 it is the conditional wait's distribution function."""
-    return 1.0 - p_occup * math.exp(-wait_rate * t_los)
+    """The share of calls answered within t_los, 1 - ``_miss``."""
+    return 1.0 - _miss(p_occup, wait_rate, t_los)
 
 
 def _wait_rate(params: SystemParams) -> float:

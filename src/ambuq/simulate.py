@@ -67,7 +67,7 @@ import numpy as np
 from .errors import ParameterError
 from .mfpt import mfpt_critical_profile
 from .params import SystemParams, as_int, as_real, derive, is_stable
-from .service_metrics import _los, _wait_rate, mean_wait, p_server_busy
+from .service_metrics import _wait_rate, mean_wait, p_server_busy
 from .steady_state import MAX_CSV_ROWS
 from .steady_state import p_occupation, queue_conditional_pmf, queue_stats, stationary_profile
 
@@ -552,8 +552,6 @@ def _run_replications(run, replications: int, processes: int) -> list:
     a forked child. Whenever this returns or raises, every child has ended
     (killed if still running), been reaped and had its pipe closed.
     """
-    if processes == 1:
-        return [run(rep) for rep in range(replications)]
     bounds = [replications * i // processes for i in range(processes + 1)]
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     reaped: set[int] = set()
@@ -753,7 +751,7 @@ def compare(
             "p_busy_per_server": p_server_busy(params),
             "throughput": params.arrival_rate,
             "wait_mean_conditional": mean_wait(params),
-            "wait_cdf_at_t_los": _los(1.0, _wait_rate(params), t_los),
+            "wait_cdf_at_t_los": -math.expm1(-_wait_rate(params) * t_los),
         }
     else:
         raise ParameterError(f"mode must be 'stationary' or 'hitting', got {mode!r}")

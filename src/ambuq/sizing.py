@@ -11,6 +11,7 @@ every value equals what those return at that fleet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator
@@ -84,14 +85,11 @@ def _metric_by_fleet(kind: str, params: SystemParams, t_los: float | None) -> It
     that first fleet still rounds to 1, its occupation and LOS come out as
     their limits at rho = 1, within rounding: 1 and 0.
     """
-    a = derive(params).offered_load
-    if kind == "stability":
-        for m in count(params.servers):
-            yield a / m
-    elif kind == "mfpt_horizon":
+    if kind == "mfpt_horizon":
         for _, mean_time in islice(_offsets(params), params.servers, None):
             yield mean_time
     else:
+        a = derive(params).offered_load
         mu = params.service_rate
         blocking = _erlang_b(a, [params.servers - 1])[0]
         for m in count(params.servers):
@@ -102,7 +100,8 @@ def _metric_by_fleet(kind: str, params: SystemParams, t_los: float | None) -> It
 
 
 def min_fleet(t_call: float, t_service: float, query: SizingQuery) -> SizingResult:
-    """Scan fleet sizes upward until the query's predicate first holds."""
+    """Scan fleet sizes upward until the query's predicate first holds;
+    for stability, the first fleet holds it."""
     start = 1 if query.kind == "mfpt_horizon" else stability_bound(t_call, t_service)
     if start > query.m_max:
         return SizingResult(
@@ -111,25 +110,25 @@ def min_fleet(t_call: float, t_service: float, query: SizingQuery) -> SizingResu
         )
 
     params = SystemParams(t_call=t_call, t_service=t_service, servers=start)
+    if query.kind == "stability":  # start is the exact stability bound
+        return SizingResult(
+            kind=query.kind, m=start, predicate_value=derive(params).rho,
+            scanned=(start, start), found=True,
+        )
+    # a ceiling on occup is a floor on -occup (negation is exact), so one
+    # comparison, in the direction of the kind, serves every goal
+    sign = -1.0 if query.kind == "occup_ceiling" else 1.0
+    goal = sign * query.target
     values = _metric_by_fleet(query.kind, params, query.t_los)
-    best = None
+    best = -math.inf
     for m, value in zip(range(start, query.m_max + 1), values):
-        if query.kind == "stability":
-            ok = better = True  # the scan starts at the exact stability bound
-        elif query.kind == "occup_ceiling":
-            ok = value <= query.target
-            better = best is None or value < best
-        else:
-            ok = value >= query.target
-            better = best is None or value > best
-        if better:
-            best = value
-        if ok:
+        if sign * value >= goal:
             return SizingResult(
                 kind=query.kind, m=m, predicate_value=value,
                 scanned=(start, m), found=True,
             )
+        best = max(best, sign * value)
     return SizingResult(
-        kind=query.kind, m=None, predicate_value=best,
+        kind=query.kind, m=None, predicate_value=sign * best,
         scanned=(start, query.m_max), found=False,
     )

@@ -22,10 +22,6 @@ from .params import SystemParams, as_int, require_steady_state
 # about 20.7 / (1 - rho) rows, so this refuses rho within about 2e-5 of 1.
 MAX_CSV_ROWS = 10**6
 
-# Erlang-B steps between two checks for a blocking value that underflowed
-# to 0; a check at every step would cost more than the steps it saves.
-_UNDERFLOW_CHECK = 256
-
 
 def _erlang_b(a: float, fleets: Sequence[int]) -> list[float]:
     """Erlang-B blocking B(m) at offered load a for each fleet m >= 0.
@@ -34,20 +30,19 @@ def _erlang_b(a: float, fleets: Sequence[int]) -> list[float]:
     off at each fleet; the fleets may be unsorted or repeated. The product
     a B(n-1) is rounded once and used twice, which changes no bit of the
     quotient. Once B is exactly 0.0, every later value is too
-    (a * 0.0 / (n + 0.0) = 0.0), so the pass stops there, checking every
-    _UNDERFLOW_CHECK steps.
+    (a * 0.0 / (n + 0.0) = 0.0), so the pass stops there.
     """
     values = [0.0] * len(fleets)
     blocking = 1.0
     n = 0
     for i in sorted(range(len(fleets)), key=fleets.__getitem__):
         m = fleets[i]
-        while n < m and blocking != 0.0:
-            stop = min(m, n + _UNDERFLOW_CHECK)
-            for k in range(n + 1, stop + 1):
-                carried = a * blocking
-                blocking = carried / (k + carried)
-            n = stop
+        for k in range(n + 1, m + 1):
+            carried = a * blocking
+            blocking = carried / (k + carried)
+            if blocking == 0.0:
+                break
+        n = m
         values[i] = blocking
     return values
 

@@ -12,7 +12,8 @@ time per call and a heap of service ends instead of the occupancy chain's
 one draw pair per event, and a whole recorded path tallied into batches
 after the run instead of each batch tallied inside the event loop, and each
 quantity's batch means reduced on their own as a 1-D array instead of row
-by row from one table.
+by row from one table, and 60-digit mpmath sums on the typed decimals
+instead of the float recurrences for the small probabilities.
 
 The reference routes for an arbitrary birth-death ladder live here as well:
 the nested sum/product hitting time, the structured tridiagonal solve, the
@@ -34,6 +35,7 @@ from fractions import Fraction
 from typing import Callable
 from unittest import mock
 
+import mpmath
 import numpy as np
 
 from ambuq import (
@@ -605,6 +607,30 @@ def occupation_probability_stepwise(params):
     d = require_steady_state(params)
     blocking = erlang_b_stepwise(d.offered_load, params.servers)
     return blocking / (1.0 - d.rho * (1.0 - blocking))
+
+
+def _wait_rate_mp(t_call, t_service, servers):
+    """(1 - rho) M mu, that is (M t_call - t_service) / (t_call t_service),
+    from the shortest decimals of the inputs, at the current mpmath precision."""
+    t_call, t_service = mpmath.mpf(repr(float(t_call))), mpmath.mpf(repr(float(t_service)))
+    return (servers * t_call - t_service) / (t_call * t_service)
+
+
+def miss_probability_mp(t_call, t_service, servers, t_los):
+    """Share of calls still waiting at t_los, p_occup exp(-rate t_los), in
+    60-digit mpmath: the Erlang-C law summed term by term, not recurred."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(repr(float(t_service))) / mpmath.mpf(repr(float(t_call)))
+        tail = a**servers / mpmath.factorial(servers) / (1 - a / servers)
+        head = mpmath.fsum(a**n / mpmath.factorial(n) for n in range(servers))
+        rate = _wait_rate_mp(t_call, t_service, servers)
+        return float(tail / (head + tail) * mpmath.exp(-rate * t_los))
+
+
+def wait_cdf_mp(t_call, t_service, servers, t):
+    """P(W <= t) for a queued call, 1 - exp(-rate t), in 60-digit mpmath."""
+    with mpmath.workdps(60):
+        return float(-mpmath.expm1(-_wait_rate_mp(t_call, t_service, servers) * t))
 
 
 def wait_mixture_density(t, params, k_max=200):

@@ -8,6 +8,7 @@ from ambuq import (
     SimConfig,
     SizingQuery,
     SystemParams,
+    derive,
     full_report,
     mfpt_critical_profile,
     stationary_profile,
@@ -18,6 +19,8 @@ from ambuq.cli import (
 from ambuq.params import MAX_FLEET
 from ambuq.simulate import MAX_REPLICATIONS
 from ambuq.steady_state import MAX_CSV_ROWS
+
+from oracles import miss_probability_mp
 
 
 def run(*argv):
@@ -51,6 +54,19 @@ def test_analyze_fleet_grid_and_summary(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "4"
     assert float(first[6]) == pytest.approx(5.0, rel=1e-9)  # mean queue length at 4 vehicles
+
+
+def test_one_minus_los_keeps_its_digits_where_los_rounds_to_1(tmp_path):
+    assert run("analyze", "--t-call", 1, "--t-service", 5, "--servers", "6,30,60",
+               "--out-dir", tmp_path) == 0
+    lines = (tmp_path / "service_summary.csv").read_text().splitlines()[1:]
+    for line in lines:
+        row = line.split(",")
+        m, los, miss = int(row[0]), float(row[4]), float(row[5])
+        # 2.04e-79 at M = 30 and 3.69e-186 at M = 60, where the LOS is 1.0
+        assert miss == pytest.approx(miss_probability_mp(1, 5, m, 30.0), rel=1e-12, abs=0.0), m
+        assert los == 1.0 - miss, m  # the LOS column keeps its bits
+    assert len(lines) == 3
 
 
 def test_analyze_stationary_csv(tmp_path):
@@ -146,6 +162,9 @@ def test_size_stability(tmp_path):
     sizing = json.loads((tmp_path / "sizing.json").read_text())
     assert sizing["m"] == 4 and sizing["found"] is True
     assert sizing["kind"] == "stability"
+    # the first stable fleet is the answer, with its float rho as the value
+    assert sizing["scanned_range"] == [4, 4]
+    assert sizing["predicate_value"] == derive(SystemParams(t_call=15, t_service=50, servers=4)).rho
 
 
 def test_stability_verdicts_at_unit_intensity(tmp_path, capsys, monkeypatch):
@@ -247,6 +266,11 @@ def test_size_requires_exactly_one_goal(tmp_path):
          "mfpt.json saturation times: 50015000, more than the 1000000"),
         (("mfpt", *BASE, "--servers", "1..200", "--t-call-grid", "1..10000:1"),
          "mfpt_sweep.csv rows: 2000000, more than the 1000000"),
+        # 10^4 rows, but (10^4 + 1) x 10^4 recurrence steps
+        (("mfpt", "--t-call", 1, "--t-service", 20000, "--servers", 10000,
+          "--t-call-grid", "0.0001..1:0.0001"),
+         "mfpt sweep would take 100010000 recurrence steps ((largest fleet + 1) x 10000 "
+         "call spacings), more than 50000000"),
     ],
 )
 def test_refused_with_one_error_line_before_any_output(tmp_path, capsys, argv, message):

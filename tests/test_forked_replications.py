@@ -114,6 +114,23 @@ def test_no_steady_state_error_survives_pickling():
         assert (copy.rho, str(copy)) == (error.rho, str(error))
 
 
+def test_one_process_runs_every_replication_here_and_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for a one-process run")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    here = os.getpid()
+    assert simulate._run_replications(lambda rep: (os.getpid(), rep), 3, 1) == [
+        (here, 0), (here, 1), (here, 2)
+    ]
+
+    def run(rep):
+        raise ParameterError(f"replication {rep} failed")
+
+    with pytest.raises(ParameterError, match="replication 0 failed"):
+        simulate._run_replications(run, 3, 1)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_no_steady_state_error_reaches_the_caller():
     def run(rep):

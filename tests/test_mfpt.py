@@ -3,6 +3,7 @@ import math
 import pytest
 
 from ambuq import ParameterError, SystemParams, mfpt_critical_profile, mfpt_sweep
+from ambuq import mfpt
 from ambuq.cli import SWEEP_CSV_HEADER, write_sweep_csv
 
 from oracles import (
@@ -144,6 +145,18 @@ def test_sweep_rejects_empty_grids():
         mfpt_sweep(50.0, [], [16.0])
     with pytest.raises(ParameterError):
         mfpt_sweep(50.0, [6], [])
+
+
+def test_sweep_over_the_step_cap_is_refused_before_the_first_step(monkeypatch, time_limit):
+    # (999999 + 1) x 51 steps, one call spacing past the cap: 6-8 s if run
+    grid = [1.0 + i / 100 for i in range(51)]
+    with time_limit(1), pytest.raises(ParameterError, match="51000000 recurrence steps"):
+        mfpt_sweep(2e6, [5, 999999], grid)
+    # the cap admits exactly MAX_SWEEP_STEPS steps, counted from the largest fleet
+    monkeypatch.setattr(mfpt, "MAX_SWEEP_STEPS", 20)
+    assert len(mfpt_sweep(50.0, [9, 3], [16.0, 13.2])) == 4
+    with pytest.raises(ParameterError, match="30 recurrence steps .* more than 20"):
+        mfpt_sweep(50.0, [3, 9], [16.0, 13.2, 10.0])
 
 
 def test_sweep_csv_format(tmp_path):

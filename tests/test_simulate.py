@@ -59,6 +59,7 @@ from oracles import (
     simulate_heap_fcfs,
     split_histograms,
     supported_range_params,
+    wait_cdf_mp,
 )
 
 REFERENCE = SystemParams(t_call=15, t_service=50, servers=6)
@@ -387,6 +388,15 @@ def test_compare_reads_the_public_values_to_the_bit():
     for params in supported_range_params():
         analytic = {name: ref for name, _, _, ref, _ in compare(params, estimates)}
         assert analytic == {name: value(params) for name, value in public.items()}, params
+
+
+def test_compare_wait_cdf_keeps_its_digits_at_small_thresholds():
+    # formed as 1 - exp(-x), the value would keep only about 3 digits at x near 1e-13
+    params = SystemParams(t_call=15, t_service=50, servers=6)
+    estimates = {"wait_cdf_at_t_los": SimEstimate(0.0, 1.0, 20, 1)}
+    for t_los in (1e-12, 1e-6, 30.0):
+        ((_, _, _, analytic, _),) = compare(params, estimates, t_los=t_los)
+        assert analytic == pytest.approx(wait_cdf_mp(15, 50, 6, t_los), rel=1e-14, abs=0.0), t_los
 
 
 def test_compare_hitting_mode():

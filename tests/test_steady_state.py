@@ -16,7 +16,7 @@ from ambuq import (
     stationary_profile,
 )
 from ambuq.cli import STATIONARY_CSV_HEADER, write_stationary_csv
-from ambuq.steady_state import _UNDERFLOW_CHECK, _erlang_b, stationary_csv_rows
+from ambuq.steady_state import _erlang_b, stationary_csv_rows
 
 from oracles import (
     RateLadder,
@@ -209,12 +209,10 @@ def _underflow_fleet(a, top=10**4):
 
 def _fleet_list(rng, t_call, t_service):
     """Stable fleets up to 10^4, shuffled, with repeats, the stability bound
-    (rho nearest 1), fleets at and around the chunk ends of the shared pass,
-    and fleets just below, at and past the one where B underflows to 0."""
+    (rho nearest 1), and fleets just below, at and past the one where B
+    underflows to 0."""
     first = stability_bound(t_call, t_service)
     fleets = [first, first + 1, rng.randint(first, 10**4), 10**4]
-    chunk_end = _UNDERFLOW_CHECK * rng.randint(1, 10**4 // _UNDERFLOW_CHECK)
-    fleets += [m for m in (chunk_end - 1, chunk_end, chunk_end + 1) if m >= first]
     zero = _underflow_fleet(t_service / t_call)
     if zero is not None:
         fleets += [m for m in (zero - 1, zero, zero + 1, zero + 300) if first <= m <= 10**4]
