@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import NoSteadyStateError, ParameterError
 from .mfpt import mfpt_critical_profile, mfpt_sweep
-from .params import SystemParams, as_int, as_real, derive, is_stable, require_steady_state
+from .params import SystemParams, as_int, as_real, at_most, derive, is_stable, require_steady_state
 from .service_metrics import _miss, full_report
 from .simulate import SimConfig, compare, simulate_hitting_time, simulate_stationary
 from .sizing import SizingQuery, min_fleet
@@ -80,48 +80,37 @@ def _number(text: str):
     return text
 
 
-def _require_count(count: float, field: str, text: str) -> None:
-    if not 1 <= count <= MAX_EXPANSION:
-        raise ParameterError(
-            f"{field} range {text!r} must expand to 1..{MAX_EXPANSION} entries"
-        )
-
-
-def _parse_servers(value) -> list[int]:
-    """Fleet sizes from a number, a JSON list, or text '6', '5,7' or '4..10'."""
+def _parse_list(value, field: str, rule) -> list:
+    """Entries from a number, a JSON list, or text 'a,b' or 'lo..hi', each
+    checked by ``rule(entry, field)``. A range of fleets (int entries) steps
+    by 1, exactly at any size; one of call spacings (float entries) by 1.0
+    or the step in 'lo..hi:step'. A range may expand to at most
+    MAX_EXPANSION entries and is refused before any list is built."""
     if isinstance(value, str):
         text = value.strip()
         if ".." in text:
-            lo, hi = (as_int(_number(part), "servers", minimum=1) for part in text.split("..", 1))
-            _require_count(hi - lo + 1, "servers", text)
-            return list(range(lo, hi + 1))
-        value = [_number(part) for part in text.split(",") if part.strip()]
-    elif not isinstance(value, list):
-        value = [value]
-    return [as_int(v, "servers", minimum=1) for v in value]
-
-
-def _parse_grid(value) -> list[float]:
-    """Call spacings from a number, a JSON list, or text '10,12' or '10..40:0.2'."""
-    if isinstance(value, str):
-        text = value.strip()
-        if ".." in text:
-            span, _, step_text = text.partition(":")
-            lo, hi = (
-                as_real(_number(part), "t_call_grid", positive=True) for part in span.split("..", 1)
-            )
-            step = 1.0
-            if step_text:
-                step = as_real(_number(step_text), "t_call_grid step", positive=True)
-            steps = (hi - lo) / step + 1e-9
-            # floored only once bounded, so an overflowing count is never built
-            count = math.floor(steps) + 1 if steps < MAX_EXPANSION else math.inf
-            _require_count(count, "t_call_grid", text)
+            lo_text, _, hi_text = text.partition("..")
+            lo = rule(_number(lo_text), field)
+            if isinstance(lo, int):
+                step = 1
+                count = rule(_number(hi_text), field) - lo + 1
+            else:
+                hi_text, _, step_text = hi_text.partition(":")
+                hi = rule(_number(hi_text), field)
+                step = 1.0
+                if step_text:
+                    step = as_real(_number(step_text), f"{field} step", positive=True)
+                steps = (hi - lo) / step + 1e-9
+                # floored only once bounded, so an overflowing count is never built
+                count = math.floor(steps) + 1 if steps < MAX_EXPANSION else steps + 1
+            if count < 1:
+                raise ParameterError(f"{field} range {text!r} expands to no entries")
+            at_most(count, MAX_EXPANSION, f"entries of {field} range {text!r}")
             return [lo + k * step for k in range(count)]
         value = [_number(part) for part in text.split(",") if part.strip()]
     elif not isinstance(value, list):
         value = [value]
-    return [as_real(v, "t_call_grid", positive=True) for v in value]
+    return [rule(v, field) for v in value]
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -160,10 +149,13 @@ def _load_scenario(args) -> ScenarioConfig:
     scenario = ScenarioConfig(
         t_call_min=as_real(t_call, "t_call", positive=True),
         t_service_min=as_real(t_service, "t_service", positive=True),
-        servers=_parse_servers(servers),
+        servers=_parse_list(servers, "servers", functools.partial(as_int, minimum=1)),
         t_los_min=as_real(pick("t_los", "t_los_min", 30.0), "t_los"),
         cost_per_attention=as_real(pick("cost", "cost_per_attention", 0.0), "cost_per_attention"),
-        t_call_grid=None if grid is None else _parse_grid(grid),
+        t_call_grid=(
+            None if grid is None
+            else _parse_list(grid, "t_call_grid", functools.partial(as_real, positive=True))
+        ),
         seed=None if seed is None else as_int(seed, "seed"),
         replications=as_int(pick("replications", "replications", 1), "replications", minimum=1),
         warmup_min=None if warmup is None else as_real(warmup, "warmup"),
@@ -263,13 +255,6 @@ def write_stationary_csv(params: SystemParams, path, write=_write_lines) -> None
     )
 
 
-def _require_output_size(count: int, what: str) -> None:
-    """Refuse a command whose output would hold more than MAX_CSV_ROWS
-    entries of one kind, however they are split over files."""
-    if count > MAX_CSV_ROWS:
-        raise ParameterError(f"{what}: {count}, more than the {MAX_CSV_ROWS} one command may write")
-
-
 def _fmt_minutes(minutes: float, hours: bool) -> str:
     if hours:
         return f"{minutes / 60.0:.4g} h"
@@ -291,7 +276,7 @@ def _cmd_analyze(args) -> int:
         if args.stationary_csv:
             csv_rows += stationary_csv_length(params)  # refuses an over-long dump
         checked.append(params)
-    _require_output_size(csv_rows, "stationary CSV rows")
+    at_most(csv_rows, MAX_CSV_ROWS, "stationary CSV rows")
     occups = p_occupation_by_fleet(
         scenario.t_call_min, scenario.t_service_min, scenario.servers
     )
@@ -341,12 +326,16 @@ def _cmd_mfpt(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out_dir)
 
-    # Everything is computed and checked before any file is written, so an
-    # overflow leaves no partial output behind, and the summary is printed
-    # after the last write.
-    _require_output_size(sum(m + 1 for m in scenario.servers), "mfpt.json saturation times")
-    sweep_rows = len(scenario.servers) * len(scenario.t_call_grid or ())
-    _require_output_size(sweep_rows, "mfpt_sweep.csv rows")
+    # Every budget is checked before the first O(M) step: the output sizes,
+    # then the sweep's steps, which mfpt_sweep checks before its first step,
+    # so the sweep runs before the profiles. Every result is computed and
+    # checked before any file is written, so an overflow leaves no partial
+    # output behind, and the summary is printed after the last write.
+    at_most(sum(m + 1 for m in scenario.servers), MAX_CSV_ROWS, "mfpt.json saturation times")
+    rows = None
+    if scenario.t_call_grid is not None:
+        at_most(len(scenario.servers) * len(scenario.t_call_grid), MAX_CSV_ROWS, "mfpt_sweep.csv rows")
+        rows = mfpt_sweep(scenario.t_service_min, scenario.servers, scenario.t_call_grid)
     profiles = []
     display = []
     for m in scenario.servers:
@@ -364,9 +353,7 @@ def _cmd_mfpt(args) -> int:
             f"M={m}: T(0)={_fmt_minutes(profile.times[0], args.hours)} "
             f"<T>={_fmt_minutes(profile.mean_time, args.hours)}"
         )
-    rows = None
-    if scenario.t_call_grid is not None:
-        rows = mfpt_sweep(scenario.t_service_min, scenario.servers, scenario.t_call_grid)
+    if rows is not None:
         for t_call, m, mean_time in rows:
             if not math.isfinite(mean_time):  # checked first: the message costs more
                 _require_finite(mean_time, f"sweep mean time for servers={m}, t_call={t_call:g}")

@@ -16,7 +16,7 @@ from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .params import SystemParams
+from .params import SystemParams, at_most
 
 # Most recurrence steps one sweep may take, (max(fleets) + 1) per call
 # spacing: 6-8 s at the 120-160 ns a step measured on a shared 2-vCPU Xeon,
@@ -97,12 +97,10 @@ def mfpt_sweep(
         SystemParams(t_call=t_call_grid[0], t_service=t_service, servers=m).servers
         for m in servers_list
     ]
-    steps = (max(fleets) + 1) * len(t_call_grid)
-    if steps > MAX_SWEEP_STEPS:
-        raise ParameterError(
-            f"mfpt sweep would take {steps} recurrence steps ((largest fleet + 1) x "
-            f"{len(t_call_grid)} call spacings), more than {MAX_SWEEP_STEPS}"
-        )
+    at_most(
+        (max(fleets) + 1) * len(t_call_grid), MAX_SWEEP_STEPS,
+        f"mfpt sweep recurrence steps, (largest fleet + 1) x {len(t_call_grid)} call spacings",
+    )
     wanted = sorted(set(fleets))
     by_t_call = []
     for t_call in t_call_grid:

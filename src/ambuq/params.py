@@ -52,6 +52,16 @@ def as_real(value, field: str, positive: bool = False) -> float:
     return number
 
 
+def at_most(value, limit: int, what: str):
+    """The package's one budget rule: ``value`` when it is at most ``limit``.
+    Otherwise, NaN included, a ParameterError names ``what``, the value (as
+    an estimate when it is a float) and the cap."""
+    if not value <= limit:
+        shown = value if isinstance(value, int) else f"about {value:.3g}"
+        raise ParameterError(f"{what}: {shown}, more than the cap of {limit}")
+    return value
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Mean minutes between calls, mean service minutes, and fleet size.
@@ -94,12 +104,10 @@ class SystemParams:
 class DerivedParams:
     """Dimensionless ratios derived from the primitive inputs.
 
-    gamma        service rate over arrival rate (t_call / t_service)
     rho          traffic intensity, offered load per server
     offered_load arrival rate over service rate, the mean number of busy servers
     """
 
-    gamma: float
     rho: float
     offered_load: float
 
@@ -108,7 +116,7 @@ def derive(params: SystemParams) -> DerivedParams:
     lam = params.arrival_rate
     mu = params.service_rate
     offered = lam / mu
-    return DerivedParams(gamma=mu / lam, rho=offered / params.servers, offered_load=offered)
+    return DerivedParams(rho=offered / params.servers, offered_load=offered)
 
 
 # derive's rho is within a few ulps of t_service / (M t_call), even from

@@ -65,8 +65,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .mfpt import mfpt_critical_profile
-from .params import SystemParams, as_int, as_real, derive, is_stable
+from .mfpt import _offsets, mfpt_critical_profile
+from .params import SystemParams, as_int, as_real, at_most, derive, is_stable
 from .service_metrics import _wait_rate, mean_wait, p_server_busy
 from .steady_state import MAX_CSV_ROWS
 from .steady_state import p_occupation, queue_conditional_pmf, queue_stats, stationary_profile
@@ -281,13 +281,13 @@ def simulate_hitting_time(
             f"got {start_state!r}"
         )
     walks = math.ceil(config.replications / HITTING_BLOCK) * HITTING_BLOCK
-    steps = walks * mfpt_critical_profile(params).times[start_state] * (lam + m * mu)
-    if not steps <= MAX_HITTING_STEPS:
-        raise ParameterError(
-            f"hitting-time run from state {start_state} would take about {steps:.3g} steps "
-            f"({walks} walks, whole blocks, x T(start) x (lambda + M mu)), "
-            f"more than {MAX_HITTING_STEPS:.0e}"
-        )
+    # T(start) = h(start) + ... + h(M), summed as the ladder streams past
+    t_start = sum(h for h, _ in itertools.islice(_offsets(params), start_state, m + 1))
+    at_most(
+        walks * t_start * (lam + m * mu), MAX_HITTING_STEPS,
+        f"hitting-time steps from state {start_state}, "
+        f"{walks} walks (whole blocks) x T(start) x (lambda + M mu)",
+    )
     times = _hitting_times(lam, mu, start_state, m + 1, config.seed, config.replications)
     return _reduce(["hitting_time_mean"], times[None], config.seed)["hitting_time_mean"]
 
@@ -690,13 +690,9 @@ def simulate_stationary(
     # a replication's draw block and its N_BATCHES x M occupancy bins count
     # as events too, so many short replications or a huge fleet are refused
     events = cfg.replications * (cfg.start_state + cfg.horizon * rate + _DRAW_BLOCK + N_BATCHES * m)
-    if not events <= MAX_FCFS_EVENTS:
-        raise ParameterError(
-            f"stationary run would simulate about {events:.3g} events, more than {MAX_FCFS_EVENTS:.0e}"
-        )
-    rows = cfg.replications * (cfg.horizon - cfg.warmup) * lam
-    if collect_waits and not rows <= MAX_CSV_ROWS:
-        raise ParameterError(f"wait log would hold about {rows:.3g} rows, more than {MAX_CSV_ROWS}")
+    at_most(events, MAX_FCFS_EVENTS, "stationary run events")
+    if collect_waits:
+        at_most(cfg.replications * (cfg.horizon - cfg.warmup) * lam, MAX_CSV_ROWS, "wait log rows")
     if not is_stable(params):
         warnings.warn(
             f"traffic intensity rho={derive(params).rho:.6g} >= 1: no steady state exists; "

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParameterError
-from .params import SystemParams, as_int, require_steady_state
+from .params import SystemParams, as_int, at_most, require_steady_state
 
 # Most rows a stationary CSV may hold. The tail down to 1e-9 mass takes
 # about 20.7 / (1 - rho) rows, so this refuses rho within about 2e-5 of 1.
@@ -168,12 +167,9 @@ def stationary_csv_length(params: SystemParams) -> int:
     to ~1e-9 mass. Raises ParameterError when that exceeds MAX_CSV_ROWS."""
     rho = require_steady_state(params).rho
     rows = params.servers + math.ceil(math.log(1e-9) / math.log(rho)) + 1
-    if rows > MAX_CSV_ROWS:
-        raise ParameterError(
-            f"stationary CSV for servers={params.servers} at rho={rho:.6g} would hold "
-            f"{rows} rows, more than {MAX_CSV_ROWS}"
-        )
-    return rows
+    return at_most(
+        rows, MAX_CSV_ROWS, f"stationary CSV for servers={params.servers} at rho={rho:.6g}, rows"
+    )
 
 
 def stationary_csv_rows(params: SystemParams) -> list[tuple[int, float]]:

@@ -660,7 +660,7 @@ def saturation_times_closed_form(params):
     frontier of running products one factor at a time. O(M^2).
     """
     m = params.servers
-    gamma = derive(params).gamma
+    gamma = params.service_rate / params.arrival_rate
     t_call = params.t_call
 
     # row_prod[k] / row_inner[k] are the running product and partial sum

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -13,10 +14,8 @@ from ambuq import (
     mfpt_critical_profile,
     stationary_profile,
 )
-from ambuq.cli import (
-    STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _require_output_size, _write_lines, build_parser, main,
-)
-from ambuq.params import MAX_FLEET
+from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _write_lines, build_parser, main
+from ambuq.params import MAX_FLEET, at_most
 from ambuq.simulate import MAX_REPLICATIONS
 from ambuq.steady_state import MAX_CSV_ROWS
 
@@ -261,16 +260,51 @@ def test_size_requires_exactly_one_goal(tmp_path):
         (("size", *BASE, "--servers", 1, "--horizon", 0), "target must be finite and > 0, got 0"),
         # outputs past MAX_CSV_ROWS entries in all, though under it in each file
         (("analyze", "--t-call", 1, "--t-service", 1, "--servers", "2..10000", "--stationary-csv"),
-         "stationary CSV rows: 50046339, more than the 1000000 one command may write"),
+         "stationary CSV rows: 50046339, more than the cap of 1000000"),
         (("mfpt", "--t-call", 1, "--t-service", 20000, "--servers", "1..10000"),
-         "mfpt.json saturation times: 50015000, more than the 1000000"),
+         "mfpt.json saturation times: 50015000, more than the cap of 1000000"),
         (("mfpt", *BASE, "--servers", "1..200", "--t-call-grid", "1..10000:1"),
-         "mfpt_sweep.csv rows: 2000000, more than the 1000000"),
+         "mfpt_sweep.csv rows: 2000000, more than the cap of 1000000"),
         # 10^4 rows, but (10^4 + 1) x 10^4 recurrence steps
         (("mfpt", "--t-call", 1, "--t-service", 20000, "--servers", 10000,
           "--t-call-grid", "0.0001..1:0.0001"),
-         "mfpt sweep would take 100010000 recurrence steps ((largest fleet + 1) x 10000 "
-         "call spacings), more than 50000000"),
+         "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
+         "100010000, more than the cap of 50000000"),
+        # one case per cap, each in the budget rule's one shape
+        (("analyze", *BASE, "--servers", "1..10001"),
+         "entries of servers range '1..10001': 10001, more than the cap of 10000"),
+        (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1..1e9:1e-9"),
+         "entries of t_call_grid range '1..1e9:1e-9': about 1e+18, more than the cap of 10000"),
+        (("analyze", "--t-call", 1, "--t-service", 1.999998, "--servers", 2, "--stationary-csv"),
+         "stationary CSV for servers=2 at rho=0.999999, rows: 20723259, more than the cap of 1000000"),
+        (("simulate", "--mode", "hitting", *BASE, "--servers", 13, "--seed", 1),
+         "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
+         "(lambda + M mu): about 1.9e+08, more than the cap of 100000000"),
+        (("simulate", "--t-call", 1, "--t-service", 1, "--servers", 2, "--seed", 1,
+          "--warmup", 0, "--horizon-min", 1e12),
+         "stationary run events: about 2e+12, more than the cap of 10000000"),
+        (("simulate", "--t-call", 1, "--t-service", 1, "--servers", 2, "--seed", 1,
+          "--warmup", 0, "--horizon-min", 2e6, "--wait-samples"),
+         "wait log rows: about 2e+06, more than the cap of 1000000"),
+        # refused by a budget before any profile is built, which at the fleet
+        # of 999999 would take 0.3 s and about 180 MB
+        (("mfpt", "--t-call", 1, "--t-service", 2e6, "--servers", 999999,
+          "--t-call-grid", "0.0001..1:0.0001"),
+         "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
+         "10000000000, more than the cap of 50000000"),
+        (("simulate", "--mode", "hitting", "--t-call", 1, "--t-service", 1, "--servers", 999999,
+          "--seed", 1),
+         "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
+         "(lambda + M mu): about inf, more than the cap of 100000000"),
+        # the refusal order: every budget, in the order above, before any
+        # result is checked, here a T(0) past the float range
+        (("mfpt", "--t-call", 1, "--t-service", 1, "--servers", 10000,
+          "--t-call-grid", "0.0001..1:0.0001"),
+         "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
+         "100010000, more than the cap of 50000000"),
+        (("mfpt", "--t-call", 1, "--t-service", 2e6, "--servers", "999999,999999",
+          "--t-call-grid", "0.0001..1:0.0001"),
+         "mfpt.json saturation times: 2000000, more than the cap of 1000000"),
     ],
 )
 def test_refused_with_one_error_line_before_any_output(tmp_path, capsys, argv, message):
@@ -282,9 +316,37 @@ def test_refused_with_one_error_line_before_any_output(tmp_path, capsys, argv, m
 
 
 def test_output_cap_admits_exactly_max_csv_rows():
-    _require_output_size(MAX_CSV_ROWS, "rows")
-    with pytest.raises(ParameterError, match=f"rows: {MAX_CSV_ROWS + 1}, more than"):
-        _require_output_size(MAX_CSV_ROWS + 1, "rows")
+    assert at_most(MAX_CSV_ROWS, MAX_CSV_ROWS, "rows") == MAX_CSV_ROWS
+    with pytest.raises(
+        ParameterError, match=f"^rows: {MAX_CSV_ROWS + 1}, more than the cap of {MAX_CSV_ROWS}$"
+    ):
+        at_most(MAX_CSV_ROWS + 1, MAX_CSV_ROWS, "rows")
+    # an estimate is shown as one, and NaN counts as over
+    with pytest.raises(ParameterError, match=f"^rows: about nan, more than the cap of {MAX_CSV_ROWS}$"):
+        at_most(math.nan, MAX_CSV_ROWS, "rows")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mfpt", "--t-call", 1, "--t-service", 2e5, "--servers", 99999,
+         "--t-call-grid", "0.0001..1:0.0001"),
+        ("simulate", "--mode", "hitting", "--t-call", 1, "--t-service", 1, "--servers", 99999,
+         "--seed", 1),
+    ],
+)
+def test_budget_refusal_builds_no_profile(tmp_path, capsys, argv):
+    # a profile of 10^5 saturation times alone peaks at about 14 MB
+    build_parser()
+    tracemalloc.start()
+    try:
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "more than the cap of" in capsys.readouterr().err
+    assert peak < 2 * 2**20
+    assert written(tmp_path) == []
 
 
 def test_analyze_stationary_csv_at_large_offered_load(tmp_path):
@@ -318,8 +380,8 @@ def test_stationary_csv_row_cap(tmp_path, capsys, time_limit):
     "servers, code, err",
     [
         # the fleet of 2 is stable but its CSV too long; the fleet of 1 is unstable
-        ("2,1", 2, "error: stationary CSV for servers=2 at rho=0.999999 would hold "
-                   "20723259 rows, more than 1000000\n"),
+        ("2,1", 2, "error: stationary CSV for servers=2 at rho=0.999999, rows: "
+                   "20723259, more than the cap of 1000000\n"),
         ("1,2", 3, "error: no steady state for servers=1: rho=2 >= 1; "
                    "minimum stable fleet is 2\n"),
     ],
@@ -583,6 +645,10 @@ OUT_DIR_IS_A_FILE = "out-dir-is-a-file"
         (("simulate", *BASE, "--servers", 6, "--seed", 1, "--mode", "hitting",
           "--replications", 10_000_001), None),
         (("analyze", *BASE, "--servers", 6), OUT_DIR_IS_A_FILE),
+        # empty ranges, and a step before the range
+        (("analyze", *BASE, "--servers", "10..4"), None),
+        (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "4..3"), None),
+        (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1:2..3"), None),
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, config):

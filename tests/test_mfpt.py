@@ -150,12 +150,14 @@ def test_sweep_rejects_empty_grids():
 def test_sweep_over_the_step_cap_is_refused_before_the_first_step(monkeypatch, time_limit):
     # (999999 + 1) x 51 steps, one call spacing past the cap: 6-8 s if run
     grid = [1.0 + i / 100 for i in range(51)]
-    with time_limit(1), pytest.raises(ParameterError, match="51000000 recurrence steps"):
+    with time_limit(1), pytest.raises(
+        ParameterError, match=r"recurrence steps, .* 51 call spacings: 51000000, more than the cap"
+    ):
         mfpt_sweep(2e6, [5, 999999], grid)
     # the cap admits exactly MAX_SWEEP_STEPS steps, counted from the largest fleet
     monkeypatch.setattr(mfpt, "MAX_SWEEP_STEPS", 20)
     assert len(mfpt_sweep(50.0, [9, 3], [16.0, 13.2])) == 4
-    with pytest.raises(ParameterError, match="30 recurrence steps .* more than 20"):
+    with pytest.raises(ParameterError, match=r"x 3 call spacings: 30, more than the cap of 20$"):
         mfpt_sweep(50.0, [3, 9], [16.0, 13.2, 10.0])
 
 

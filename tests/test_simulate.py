@@ -271,6 +271,11 @@ def test_spectral_route_sums_each_walk_level_by_level():
     assert np.array_equal(_hitting_times(lam, mu, start, target, 17, size), replayed)
 
 
+# the budget rule's refusals, in its one shape
+HITTING_OVER = r"^hitting-time steps from state 0, .*: about .*, more than the cap of 100000000$"
+EVENTS_OVER = r"^stationary run events: about .*, more than the cap of 10000000$"
+
+
 def test_hitting_run_over_the_step_budget_is_refused(time_limit):
     # T(0) is about 4.3e10 minutes at M = 20, some 2e10 steps of one walk
     params = SystemParams(t_call=15, t_service=50, servers=20)
@@ -279,9 +284,9 @@ def test_hitting_run_over_the_step_budget_is_refused(time_limit):
     per_walk = mfpt_critical_profile(fleet).times[0] * (1 / 16 + 6 / 50)
     too_many = math.ceil(MAX_HITTING_STEPS / per_walk) + 1
     with time_limit(10):
-        with pytest.raises(ParameterError, match="steps"):
+        with pytest.raises(ParameterError, match=HITTING_OVER):
             simulate_hitting_time(params, 0, SimConfig(seed=1, replications=1))
-        with pytest.raises(ParameterError, match="steps"):
+        with pytest.raises(ParameterError, match=HITTING_OVER):
             simulate_hitting_time(fleet, 0, SimConfig(seed=1, replications=too_many))
 
 
@@ -687,24 +692,24 @@ def test_server_busy_spans_match_the_occupancy_path(servers, config, assignment)
 def test_stationary_run_over_the_event_budget_is_refused(time_limit):
     with time_limit(1):
         # about 2e12 events at one arrival and one departure a minute
-        with pytest.raises(ParameterError, match="events"):
+        with pytest.raises(ParameterError, match=EVENTS_OVER):
             simulate_stationary(
                 SystemParams(t_call=1, t_service=1, servers=2),
                 SimConfig(seed=1, warmup=0.0, horizon=1e12),
             )
         # every initial call is one event at least
-        with pytest.raises(ParameterError, match="events"):
+        with pytest.raises(ParameterError, match=EVENTS_OVER):
             simulate_stationary(
                 REFERENCE,
                 SimConfig(seed=1, replications=3, warmup=0.0, horizon=1000.0, start_state=5 * 10**6),
             )
         # and every replication one draw block and 20 M occupancy bins,
         # however short its horizon
-        with pytest.raises(ParameterError, match="events"):
+        with pytest.raises(ParameterError, match=EVENTS_OVER):
             simulate_stationary(
                 REFERENCE, SimConfig(seed=1, replications=10**7, warmup=0.0, horizon=1e-3)
             )
-        with pytest.raises(ParameterError, match="events"):
+        with pytest.raises(ParameterError, match=EVENTS_OVER):
             simulate_stationary(
                 SystemParams(t_call=1, t_service=1, servers=10**6),
                 SimConfig(seed=1, warmup=0.0, horizon=10.0),
@@ -717,7 +722,9 @@ def test_wait_log_over_the_row_cap_is_refused(time_limit):
     params = SystemParams(t_call=1, t_service=1, servers=2)
     config = SimConfig(seed=1, warmup=0.0, horizon=2 * MAX_CSV_ROWS)
     with time_limit(1):
-        with pytest.raises(ParameterError, match="rows"):
+        with pytest.raises(
+            ParameterError, match=r"^wait log rows: about 2e\+06, more than the cap of 1000000$"
+        ):
             simulate_stationary(params, config, collect_waits=True)
 
 
