@@ -56,14 +56,14 @@ class ScenarioConfig:
     t_call_min: float
     t_service_min: float
     servers: list[int]
-    t_los_min: float = 30.0
-    cost_per_attention: float = 0.0
-    t_call_grid: list[float] | None = None
-    seed: int | None = None
-    replications: int = 1
-    warmup_min: float | None = None
-    horizon_min: float | None = None
-    start_state: int = 0
+    t_los_min: float
+    cost_per_attention: float
+    t_call_grid: list[float] | None
+    seed: int | None
+    replications: int
+    warmup_min: float | None
+    horizon_min: float | None
+    start_state: int
 
 
 _CONFIG_KEYS = {field.name for field in fields(ScenarioConfig)}
@@ -216,7 +216,8 @@ def _staged_writes():
 
 
 def _write_lines(path: Path, lines) -> None:
-    """Write one file on its own, through ``_staged_writes``."""
+    """Write one file on its own, through ``_staged_writes``: the default
+    ``write`` of ``write_sweep_csv`` and ``write_stationary_csv``."""
     with _staged_writes() as write:
         write(path, lines)
 
@@ -261,13 +262,8 @@ def _fmt_minutes(minutes: float, hours: bool) -> str:
     return f"{minutes:.4g} min"
 
 
-def _cmd_analyze(args) -> int:
-    scenario = _load_scenario(args)
-    out_dir = Path(args.out_dir)
-
-    # Every fleet is checked, in the order given, before any file is written,
-    # and the summary is printed after the last write, so a refusal leaves
-    # no partial output.
+def _cmd_analyze(args, scenario: ScenarioConfig, out_dir: Path, write) -> tuple[int, list[str]]:
+    # every fleet is checked, in the order given, before any result is computed
     checked = []
     csv_rows = 0
     for m in scenario.servers:
@@ -303,18 +299,14 @@ def _cmd_analyze(args) -> int:
             f"throughput={report.throughput:.6g}/min"
         )
 
-    with _staged_writes() as write:
-        _write_json(write, out_dir / "report.json", reports[0] if len(reports) == 1 else reports)
-        if len(reports) > 1:
-            _write_csv(
-                write, out_dir / "service_summary.csv", SERVICE_SUMMARY_HEADER, summary_lines
-            )
-        if args.stationary_csv:
-            for params in checked:
-                write_stationary_csv(params, out_dir / f"stationary_M{params.servers}.csv", write)
-    print("\n".join(display))
-    print(f"wrote {out_dir / 'report.json'}")
-    return EXIT_OK
+    _write_json(write, out_dir / "report.json", reports[0] if len(reports) == 1 else reports)
+    if len(reports) > 1:
+        _write_csv(write, out_dir / "service_summary.csv", SERVICE_SUMMARY_HEADER, summary_lines)
+    if args.stationary_csv:
+        for params in checked:
+            write_stationary_csv(params, out_dir / f"stationary_M{params.servers}.csv", write)
+    display.append(f"wrote {out_dir / 'report.json'}")
+    return EXIT_OK, display
 
 
 def _require_finite(value: float, what: str) -> None:
@@ -322,15 +314,10 @@ def _require_finite(value: float, what: str) -> None:
         raise ParameterError(f"{what} exceeds the floating-point range ({value!r})")
 
 
-def _cmd_mfpt(args) -> int:
-    scenario = _load_scenario(args)
-    out_dir = Path(args.out_dir)
-
+def _cmd_mfpt(args, scenario: ScenarioConfig, out_dir: Path, write) -> tuple[int, list[str]]:
     # Every budget is checked before the first O(M) step: the output sizes,
     # then the sweep's steps, which mfpt_sweep checks before its first step,
-    # so the sweep runs before the profiles. Every result is computed and
-    # checked before any file is written, so an overflow leaves no partial
-    # output behind, and the summary is printed after the last write.
+    # so the sweep runs before the profiles.
     at_most(sum(m + 1 for m in scenario.servers), MAX_CSV_ROWS, "mfpt.json saturation times")
     rows = None
     if scenario.t_call_grid is not None:
@@ -358,21 +345,15 @@ def _cmd_mfpt(args) -> int:
             if not math.isfinite(mean_time):  # checked first: the message costs more
                 _require_finite(mean_time, f"sweep mean time for servers={m}, t_call={t_call:g}")
 
-    with _staged_writes() as write:
-        _write_json(write, out_dir / "mfpt.json", profiles[0] if len(profiles) == 1 else profiles)
-        if rows is not None:
-            write_sweep_csv(rows, out_dir / "mfpt_sweep.csv", write)
+    _write_json(write, out_dir / "mfpt.json", profiles[0] if len(profiles) == 1 else profiles)
     if rows is not None:
+        write_sweep_csv(rows, out_dir / "mfpt_sweep.csv", write)
         display.append(f"wrote {out_dir / 'mfpt_sweep.csv'} ({len(rows)} rows)")
     display.append(f"wrote {out_dir / 'mfpt.json'}")
-    print("\n".join(display))
-    return EXIT_OK
+    return EXIT_OK, display
 
 
-def _cmd_size(args) -> int:
-    scenario = _load_scenario(args)
-    out_dir = Path(args.out_dir)
-
+def _cmd_size(args, scenario: ScenarioConfig, out_dir: Path, write) -> tuple[int, list[str]]:
     targets = {
         "los_target": args.los_target,
         "occup_ceiling": args.occup_max,
@@ -405,27 +386,22 @@ def _cmd_size(args) -> int:
         "found": result.found,
         "m_max": query.m_max,
     }
-    _write_json(_write_lines, out_dir / "sizing.json", payload)
+    _write_json(write, out_dir / "sizing.json", payload)
     if result.found:
-        print(
+        return EXIT_OK, [
             f"min fleet M={result.m}: {result.kind} value {result.predicate_value:.6g}"
             + (f" (target {query.target:g})" if query.target is not None else "")
             + f", scanned {result.scanned[0]}..{result.scanned[1]}"
-        )
-        return EXIT_OK
+        ]
     best = "none evaluated" if result.predicate_value is None else f"{result.predicate_value:.6g}"
-    print(
+    return EXIT_NOT_FOUND, [
         f"no fleet up to m_max={query.m_max} meets {result.kind}"
         + (f" target {query.target:g}" if query.target is not None else "")
         + f"; best attained: {best}"
-    )
-    return EXIT_NOT_FOUND
+    ]
 
 
-def _cmd_simulate(args) -> int:
-    scenario = _load_scenario(args)
-    out_dir = Path(args.out_dir)
-
+def _cmd_simulate(args, scenario: ScenarioConfig, out_dir: Path, write) -> tuple[int, list[str]]:
     if len(scenario.servers) != 1:
         raise ParameterError("simulate needs a single fleet size")
     params = _params_for(scenario, scenario.servers[0])
@@ -451,8 +427,6 @@ def _cmd_simulate(args) -> int:
     if args.mode == "stationary" and (args.compare or not args.allow_unstable):
         require_steady_state(params)
 
-    # The summary is printed after the last write, so a failed write
-    # reports nothing as done.
     payload: dict = {"mode": args.mode}
     display = []
     waits = None
@@ -499,8 +473,6 @@ def _cmd_simulate(args) -> int:
                 params, estimates, args.mode, scenario.t_los_min, scenario.start_state
             )
         )
-    if waits is not None:
-        display.append(f"wrote {out_dir / 'sim_waits.csv'}")
 
     payload["estimates"] = {k: est.value for k, est in sorted(estimates.items())}
     payload["std_errors"] = {k: est.std_error for k, est in sorted(estimates.items())}
@@ -517,16 +489,15 @@ def _cmd_simulate(args) -> int:
         "t_call_min": params.t_call,
         "t_service_min": params.t_service,
     }
-    with _staged_writes() as write:
-        if waits is not None:
-            _write_csv(
-                write, out_dir / "sim_waits.csv", WAITS_CSV_HEADER,
-                (f"{idx},{w!r}\n" for idx, w in enumerate(waits)),
-            )
-        _write_json(write, out_dir / "sim.json", payload)
+    if waits is not None:
+        _write_csv(
+            write, out_dir / "sim_waits.csv", WAITS_CSV_HEADER,
+            (f"{idx},{w!r}\n" for idx, w in enumerate(waits)),
+        )
+        display.append(f"wrote {out_dir / 'sim_waits.csv'}")
+    _write_json(write, out_dir / "sim.json", payload)
     display.append(f"wrote {out_dir / 'sim.json'}")
-    print("\n".join(display))
-    return EXIT_OK
+    return EXIT_OK, display
 
 
 @functools.cache
@@ -600,16 +571,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. ``main`` loads the scenario and opens the one
+    ``_staged_writes`` block; the command validates, computes, stages its
+    files through ``write`` and returns (exit code, summary lines). The
+    summary is printed only once every file is renamed into place, so a
+    refusal or a failed write anywhere ends in one error line and no file."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        scenario = _load_scenario(args)
+        with _staged_writes() as write:
+            code, summary = args.func(args, scenario, Path(args.out_dir), write)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoSteadyStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_STEADY_STATE
+    print("\n".join(summary))
+    return code
 
 
 def entrypoint() -> None:

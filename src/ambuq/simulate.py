@@ -85,6 +85,10 @@ MAX_REPLICATIONS = 10**7
 # admitted start up to 32 levels at rho 0.3-3, the drawn law's mean is within
 # 8e-12 relative of T(start).
 MAX_HITTING_STEPS = 10**8
+# A stationary run estimates pi_n for n = 0..M + _PI_DEPTH and cond_queue_k,
+# the law of the queue length given an occupied fleet, for k = 0.._QUEUE_DEPTH.
+_PI_DEPTH = 5
+_QUEUE_DEPTH = 10
 # Most levels (M + 1) on which hitting times are drawn from the ladder's
 # spectrum; larger fleets take the local-time route. Per 1000 walks on a
 # shared 2-vCPU Xeon (median of 30 alternated calls, rho 0.8, 1.5 and 3), at
@@ -281,8 +285,13 @@ def simulate_hitting_time(
             f"got {start_state!r}"
         )
     walks = math.ceil(config.replications / HITTING_BLOCK) * HITTING_BLOCK
-    # T(start) = h(start) + ... + h(M), summed as the ladder streams past
-    t_start = sum(h for h, _ in itertools.islice(_offsets(params), start_state, m + 1))
+    # T(start) = h(start) + ... + h(M), summed in order as the ladder streams
+    # past; from the first inf h on, every h and so T(start) is inf
+    t_start = 0.0
+    for h, _ in itertools.islice(_offsets(params), start_state, m + 1):
+        t_start += h
+        if h == math.inf:
+            break
     at_most(
         walks * t_start * (lam + m * mu), MAX_HITTING_STEPS,
         f"hitting-time steps from state {start_state}, "
@@ -600,14 +609,15 @@ def _occupancy_estimates(
     results: list[_Replication], m: int, batch_len: float, seed: int
 ) -> tuple[dict[str, SimEstimate], tuple[float, ...]]:
     """Every stationary estimate, and the batch mean queue lengths, from the
-    replications' batches in order: all batches give pi_0..pi_{M+5}, p_occup,
-    throughput and p_busy_per_server; those with time at n >= M give
-    cond_queue_0..10 and mean_queue_len_conditional; those with a queued
-    wait the two wait estimates. The histograms (lo, occ), occ[i] the time
-    at n = lo + i, give the time averages: FCFS keeps min(n, M) servers busy."""
+    replications' batches in order: all batches give pi_0..pi_{M +
+    _PI_DEPTH}, p_occup, throughput and p_busy_per_server; those with time
+    at n >= M give cond_queue_0.._QUEUE_DEPTH and mean_queue_len_conditional;
+    those with a queued wait the two wait estimates. The histograms (lo,
+    occ), occ[i] the time at n = lo + i, give the time averages: FCFS keeps
+    min(n, M) servers busy."""
     histograms = [h for result in results for h in result.histograms]
-    # time[n, b]: batch b's time at n, for the levels n <= M + 10 any estimate reads
-    width = m + 10 + 1
+    # time[n, b]: batch b's time at n, for the levels any estimate reads
+    width = m + max(_PI_DEPTH, _QUEUE_DEPTH) + 1
     time = np.zeros((width, len(histograms)))
     occup, queue_area, busy = np.zeros((3, len(histograms)))
     for b, (lo, occ) in enumerate(histograms):
@@ -620,14 +630,17 @@ def _occupancy_estimates(
     completions, wait_count, wait_sum, wait_below = np.array(
         [(r.completions, r.wait_count, r.wait_sum, r.wait_below) for r in results]
     ).transpose(1, 0, 2).reshape(4, -1)
-    table = np.vstack([time[:m + 5 + 1], occup, completions, busy])
+    table = np.vstack([time[:m + _PI_DEPTH + 1], occup, completions, busy])
     table[:-1] /= batch_len
     table[-1] /= m * batch_len
-    names = [*(f"pi_{n}" for n in range(m + 5 + 1)), "p_occup", "throughput", "p_busy_per_server"]
+    names = [
+        *(f"pi_{n}" for n in range(m + _PI_DEPTH + 1)), "p_occup", "throughput", "p_busy_per_server"
+    ]
     estimates = _reduce(names, table, seed)
     occupied = occup > 0.0
-    names = [*(f"cond_queue_{k}" for k in range(10 + 1)), "mean_queue_len_conditional"]
-    table = np.vstack([time[m:, occupied], queue_area[occupied]]) / occup[occupied]
+    names = [*(f"cond_queue_{k}" for k in range(_QUEUE_DEPTH + 1)), "mean_queue_len_conditional"]
+    queue = time[m:m + _QUEUE_DEPTH + 1, occupied]
+    table = np.vstack([queue, queue_area[occupied]]) / occup[occupied]
     estimates |= _reduce(names, table, seed)
     waited = wait_count > 0
     table = np.vstack([wait_sum[waited], wait_below[waited]]) / wait_count[waited]
@@ -740,8 +753,8 @@ def compare(
     elif mode == "stationary":
         profile = stationary_profile(params)
         analytic = {
-            **{f"pi_{n}": profile.pi(n) for n in range(params.servers + 6)},
-            **{f"cond_queue_{k}": queue_conditional_pmf(params, k) for k in range(11)},
+            **{f"pi_{n}": profile.pi(n) for n in range(params.servers + _PI_DEPTH + 1)},
+            **{f"cond_queue_{k}": queue_conditional_pmf(params, k) for k in range(_QUEUE_DEPTH + 1)},
             "p_occup": p_occupation(params),
             "mean_queue_len_conditional": queue_stats(params).mean_len,
             "p_busy_per_server": p_server_busy(params),

@@ -14,6 +14,7 @@ from ambuq import (
     mfpt_critical_profile,
     stationary_profile,
 )
+from ambuq import simulate
 from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _write_lines, build_parser, main
 from ambuq.params import MAX_FLEET, at_most
 from ambuq.simulate import MAX_REPLICATIONS
@@ -349,6 +350,26 @@ def test_budget_refusal_builds_no_profile(tmp_path, capsys, argv):
     assert written(tmp_path) == []
 
 
+def test_hitting_budget_stops_at_the_first_infinite_offset(tmp_path, capsys, monkeypatch):
+    # h(n) passes the float range near n = 170 here, so T(0) is inf without
+    # the 10^6 later levels
+    offsets = simulate._offsets
+    yielded = 0
+
+    def counted(params):
+        nonlocal yielded
+        for offset in offsets(params):
+            yielded += 1
+            yield offset
+
+    monkeypatch.setattr(simulate, "_offsets", counted)
+    assert run("simulate", "--mode", "hitting", "--t-call", 1, "--t-service", 1,
+               "--servers", 999999, "--seed", 1, "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err.endswith("about inf, more than the cap of 100000000\n")
+    assert 0 < yielded < 1000
+    assert written(tmp_path) == []
+
+
 def test_analyze_stationary_csv_at_large_offered_load(tmp_path):
     # offered load 1000: unscaled weights a^n / n! exceed the float range near the mode
     code = run(
@@ -678,6 +699,7 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, config):
           "--wait-samples"), "sim.json"),
         (("mfpt", *BASE, "--servers", "6,7", "--t-call-grid", "10..12:0.5"), "mfpt_sweep.csv"),
         (("analyze", *BASE, "--servers", "5,7", "--stationary-csv"), "stationary_M7.csv"),
+        (("size", *BASE, "--servers", 1, "--occup-max", 0.15), "sizing.json"),
     ],
 )
 def test_failed_last_write_exits_2_and_reports_nothing(tmp_path, capsys, argv, last):

@@ -34,6 +34,8 @@ from ambuq.simulate import (
     N_BATCHES,
     SPECTRAL_MAX_LEVELS,
     SimEstimate,
+    _PI_DEPTH,
+    _QUEUE_DEPTH,
     _batch_edges,
     _hitting_times,
     _ladder_spectrum,
@@ -755,6 +757,13 @@ def test_stationary_estimates_match_analytics():
         estimate = result.estimates[name]
         assert abs(zscore(estimate, reference)) < 3.0, name
         assert estimate.n_samples >= 2
+
+
+def test_every_level_estimate_has_an_analytic_counterpart():
+    result = simulate_stationary(REFERENCE, SHORT, t_los=30.0)
+    levels = {name for name in result.estimates if name.startswith(("pi_", "cond_queue_"))}
+    assert len(levels) == (REFERENCE.servers + _PI_DEPTH + 1) + (_QUEUE_DEPTH + 1)
+    assert levels <= {name for name, *_ in compare(REFERENCE, result.estimates)}
 
 
 def test_stationary_batches_and_servers():
