@@ -393,11 +393,11 @@ def _cmd_size(args, scenario: ScenarioConfig, out_dir: Path, write) -> tuple[int
             + (f" (target {query.target:g})" if query.target is not None else "")
             + f", scanned {result.scanned[0]}..{result.scanned[1]}"
         ]
-    best = "none evaluated" if result.predicate_value is None else f"{result.predicate_value:.6g}"
+    attained = "none evaluated" if result.predicate_value is None else f"{result.predicate_value:.6g}"
     return EXIT_NOT_FOUND, [
         f"no fleet up to m_max={query.m_max} meets {result.kind}"
         + (f" target {query.target:g}" if query.target is not None else "")
-        + f"; best attained: {best}"
+        + f"; best attained: {attained}"
     ]
 
 

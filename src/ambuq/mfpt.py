@@ -16,7 +16,7 @@ from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .params import SystemParams, at_most
+from .params import SystemParams, at_most, read_ladder
 
 # Most recurrence steps one sweep may take, (max(fleets) + 1) per call
 # spacing: 6-8 s at the 120-160 ns a step measured on a shared 2-vCPU Xeon,
@@ -101,16 +101,11 @@ def mfpt_sweep(
         (max(fleets) + 1) * len(t_call_grid), MAX_SWEEP_STEPS,
         f"mfpt sweep recurrence steps, (largest fleet + 1) x {len(t_call_grid)} call spacings",
     )
-    wanted = sorted(set(fleets))
     by_t_call = []
     for t_call in t_call_grid:
         params = SystemParams(t_call=t_call, t_service=t_service, servers=1)
-        steps = _offsets(params)
-        means = {}
-        n = 0  # the step that steps yields next
-        for m in wanted:  # islice skips the steps between two wanted fleets
-            _, means[m] = next(islice(steps, m - n, None))
-            n = m + 1
-        by_t_call.append((params.t_call, means))
-    return [(t_call, m, means[m]) for m in fleets for t_call, means in by_t_call]
+        by_t_call.append((params.t_call, read_ladder(_offsets(params), fleets)))
+    return [
+        (t_call, m, rungs[i][1]) for i, m in enumerate(fleets) for t_call, rungs in by_t_call
+    ]
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .errors import NoSteadyStateError, ParameterError
 
@@ -60,6 +62,21 @@ def at_most(value, limit: int, what: str):
         shown = value if isinstance(value, int) else f"about {value:.3g}"
         raise ParameterError(f"{what}: {shown}, more than the cap of {limit}")
     return value
+
+
+def read_ladder(ladder: Iterator, fleets: Sequence[int]) -> list:
+    """The package's one ladder reader: the rungs of ``ladder``, an iterator
+    over rungs n = 0, 1, ..., at each fleet in ``fleets``. One ascending pass
+    serves them all; the fleets may be unsorted or repeated."""
+    values = [None] * len(fleets)
+    n = 0  # the rung that ladder yields next
+    for i in sorted(range(len(fleets)), key=fleets.__getitem__):
+        m = fleets[i]
+        if m >= n:  # else m repeats the fleet read last
+            rung = next(islice(ladder, m - n, None))
+            n = m + 1
+        values[i] = rung
+    return values
 
 
 @dataclass(frozen=True)

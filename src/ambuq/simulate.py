@@ -71,7 +71,6 @@ from .service_metrics import _wait_rate, mean_wait, p_server_busy
 from .steady_state import MAX_CSV_ROWS
 from .steady_state import p_occupation, queue_conditional_pmf, queue_stats, stationary_profile
 
-_MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1024
 HITTING_BLOCK = 1024
 MAX_REPLICATIONS = 10**7
@@ -114,14 +113,16 @@ FORK_MIN_EVENTS = 1 << 14
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
-    """The Philox stream keyed by (seed, replication or block index)."""
-    key = ((seed & _MASK64) << 64) | (index & _MASK64)
+    """The Philox stream keyed by (seed, replication or block index), each
+    below 2**64 (SimConfig bounds the seed, MAX_REPLICATIONS the index)."""
+    key = (seed << 64) | index
     return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication plan for the simulator; times are minutes.
+    """Replication plan for the simulator; times are minutes. The seed is an
+    integer in 0..2**64 - 1.
 
     warmup defaults to 50 * max(t_call, t_service) and horizon to
     warmup + 5000 * t_call (about 1e4 post-warmup events) when left None.
@@ -134,7 +135,7 @@ class SimConfig:
     start_state: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", minimum=0, maximum=2**64 - 1))
         object.__setattr__(
             self, "replications",
             as_int(self.replications, "replications", minimum=1, maximum=MAX_REPLICATIONS),

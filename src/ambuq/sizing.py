@@ -1,26 +1,31 @@
 """Inverse fleet-size queries: smallest M meeting a performance target.
 
-Monotonicity of the probability targets in M is empirically solid but not
-proven, so the search is an ascending scan that stops only at the first
-fleet meeting the target. The scan is incremental: each fleet extends the
-previous fleet's Erlang-B blocking value or saturation-time prefix sum, so
-a fleet costs O(1). The metrics use the same helpers as
+The search is an ascending scan that stops at the first fleet meeting the
+target. Every scanned metric is monotone in M. Erlang C, the occupation
+probability, falls as servers are added (Harel 1990, "Convexity properties
+of the Erlang loss formula", Operations Research). The wait rate
+M mu - lambda rises, so the LOS 1 - C exp(-(M mu - lambda) t) rises with
+it. The mean saturation time is the running average of the terms
+(k + 1) h(k), each positive and larger than the last, so it rises too. So
+the value at m_max is the best one a scan that finds no fleet attains.
+
+The scan reads the Erlang-B ladder or the saturation-time ladder from its
+first fleet on, so a fleet costs O(1). The metrics use the same helpers as
 ``p_occupation``, ``level_of_service`` and ``mfpt_critical_profile``, so
 every value equals what those return at that fleet.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 from typing import Iterator
 
 from .errors import ParameterError
 from .mfpt import _offsets
 from .params import MAX_FLEET, SystemParams, as_int, as_real, derive, stability_bound
 from .service_metrics import _los, _wait_rate_at
-from .steady_state import _erlang_b, _erlang_c
+from .steady_state import _blocking, _erlang_c
 
 # The scan calls none of these; perfbench/tracing.py wraps them by name here.
 from .mfpt import mfpt_critical_profile
@@ -67,8 +72,9 @@ class SizingQuery:
 class SizingResult:
     """Outcome of a scan: the fleet size found (or None) plus audit data.
 
-    predicate_value is the metric at the answer when found, otherwise the
-    best value attained over the scanned range (None if nothing was scanned).
+    predicate_value is the metric at the answer when found, otherwise at
+    m_max, which is the best value scanned since the metric is monotone in
+    M (None if nothing was scanned).
     """
 
     kind: str
@@ -91,9 +97,7 @@ def _metric_by_fleet(kind: str, params: SystemParams, t_los: float | None) -> It
     else:
         a = derive(params).offered_load
         mu = params.service_rate
-        blocking = _erlang_b(a, [params.servers - 1])[0]
-        for m in count(params.servers):
-            blocking = a * blocking / (m + a * blocking)
+        for m, blocking in enumerate(islice(_blocking(a), params.servers, None), params.servers):
             rho = a / m
             occup = _erlang_c(blocking, rho)
             yield occup if kind == "occup_ceiling" else _los(occup, _wait_rate_at(rho, m, mu), t_los)
@@ -120,15 +124,13 @@ def min_fleet(t_call: float, t_service: float, query: SizingQuery) -> SizingResu
     sign = -1.0 if query.kind == "occup_ceiling" else 1.0
     goal = sign * query.target
     values = _metric_by_fleet(query.kind, params, query.t_los)
-    best = -math.inf
     for m, value in zip(range(start, query.m_max + 1), values):
         if sign * value >= goal:
             return SizingResult(
                 kind=query.kind, m=m, predicate_value=value,
                 scanned=(start, m), found=True,
             )
-        best = max(best, sign * value)
     return SizingResult(
-        kind=query.kind, m=None, predicate_value=sign * best,
+        kind=query.kind, m=None, predicate_value=value,
         scanned=(start, query.m_max), found=False,
     )

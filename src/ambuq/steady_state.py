@@ -1,9 +1,10 @@
 """Stationary occupancy distribution, occupation probability, queue-length law.
 
-The all-busy probability is the Erlang-C form (``_erlang_c``, which the
-sizing scan shares) of the Erlang-B recurrence (``p_occupation``, or
-``p_occupation_by_fleet`` for several fleets from one pass). The
-distribution below the fleet size is built outwards from its mode; at and
+The all-busy probability is the Erlang-C form (``_erlang_c``) of the
+Erlang-B blocking. ``_blocking`` yields the blocking as a ladder over fleets
+0, 1, ...: ``p_occupation`` reads it at one fleet, ``p_occupation_by_fleet``
+at several in one pass, and the sizing scan at every fleet from its first.
+The distribution below the fleet size is built outwards from its mode; at and
 above the fleet size the tail is exactly geometric with ratio rho, so the
 tail is kept symbolic as (pi_M, rho) rather than materialized; its mass
 head[M] / (1 - rho) is ``p_occupation``'s value up to rounding.
@@ -13,37 +14,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterator, Sequence
 
-from .params import SystemParams, as_int, at_most, require_steady_state
+from .params import SystemParams, as_int, at_most, read_ladder, require_steady_state
 
 # Most rows a stationary CSV may hold. The tail down to 1e-9 mass takes
 # about 20.7 / (1 - rho) rows, so this refuses rho within about 2e-5 of 1.
 MAX_CSV_ROWS = 10**6
 
 
-def _erlang_b(a: float, fleets: Sequence[int]) -> list[float]:
-    """Erlang-B blocking B(m) at offered load a for each fleet m >= 0.
+def _blocking(a: float) -> Iterator[float]:
+    """The Erlang-B blocking B(n) at offered load a for n = 0, 1, ..., an
+    endless iterator.
 
-    One ascending pass of B(n) = a B(n-1) / (n + a B(n-1)), B(0) = 1, read
-    off at each fleet; the fleets may be unsorted or repeated. The product
-    a B(n-1) is rounded once and used twice, which changes no bit of the
-    quotient. Once B is exactly 0.0, every later value is too
-    (a * 0.0 / (n + 0.0) = 0.0), so the pass stops there.
+    B(0) = 1 and B(n) = a B(n-1) / (n + a B(n-1)). The product a B(n-1) is
+    rounded once and used twice, which changes no bit of the quotient, and n
+    is a float: exact below 2**53, and no int is converted. Once B is exactly
+    0.0, every later value is too (a * 0.0 / (n + 0.0) = 0.0), so the ladder
+    repeats 0.0 from there without stepping.
     """
-    values = [0.0] * len(fleets)
-    blocking = 1.0
-    n = 0
-    for i in sorted(range(len(fleets)), key=fleets.__getitem__):
-        m = fleets[i]
-        for k in range(n + 1, m + 1):
+
+    def steps():
+        blocking = 1.0
+        n = 1.0
+        while blocking:
+            yield blocking
             carried = a * blocking
-            blocking = carried / (k + carried)
-            if blocking == 0.0:
-                break
-        n = m
-        values[i] = blocking
-    return values
+            blocking = carried / (n + carried)
+            n += 1.0
+
+    return chain(steps(), repeat(0.0))
 
 
 def _erlang_c(blocking: float, rho: float) -> float:
@@ -112,7 +113,7 @@ def p_occupation(params: SystemParams) -> float:
     the Erlang-C form of the Erlang-B recurrence B(n) = a B(n-1) / (n + a
     B(n-1)), numerically stable for any fleet size."""
     d = require_steady_state(params)
-    return _erlang_c(_erlang_b(d.offered_load, [params.servers])[0], d.rho)
+    return _erlang_c(read_ladder(_blocking(d.offered_load), [params.servers])[0], d.rho)
 
 
 def p_occupation_by_fleet(
@@ -133,7 +134,7 @@ def p_occupation_by_fleet(
         servers.append(params.servers)
         rhos.append(d.rho)
         a = d.offered_load
-    return [_erlang_c(b, rho) for b, rho in zip(_erlang_b(a, servers), rhos)]
+    return [_erlang_c(b, rho) for b, rho in zip(read_ladder(_blocking(a), servers), rhos)]
 
 
 def queue_conditional_pmf(params: SystemParams, k: int) -> float:

@@ -594,11 +594,24 @@ def erlang_b_stepwise(a, servers):
     """Erlang-B blocking B(servers) from B(0) = 1 by the plain recurrence
     B(n) = a B(n-1) / (n + a B(n-1)): every step taken, one fleet per call,
     no stop where B underflows. Same floating-point operations as the
-    package's shared pass, so the two must agree bit for bit."""
+    package's Erlang-B ladder, so the two must agree bit for bit."""
     blocking = 1.0
     for n in range(1, servers + 1):
         blocking = a * blocking / (n + a * blocking)
     return blocking
+
+
+def saturation_mean_stepwise(params, servers):
+    """Fleet ``servers``' mean saturation time sum_{k<=M} (k+1) h(k) / (M+1)
+    by the plain recurrence h(0) = t_call, h(n) = t_call (1 + n mu h(n-1)):
+    every step taken, one fleet per call. Same floating-point operations as
+    the package's offsets ladder, so the two must agree bit for bit."""
+    t_call, mu = params.t_call, params.service_rate
+    h = weighted = t_call
+    for n in range(1, servers + 1):
+        h = t_call * (1.0 + n * mu * h)
+        weighted += (n + 1) * h
+    return weighted / (servers + 1)
 
 
 def occupation_probability_stepwise(params):

@@ -255,57 +255,114 @@ def test_size_requires_exactly_one_goal(tmp_path):
     "argv, message",
     [
         # a goal flag given as 0 is given, and its target is refused by name
-        (("size", *BASE, "--servers", 1, "--stability", "--horizon", 0), "choose exactly one of"),
-        (("size", *BASE, "--servers", 1, "--los-target", 0), "target must be finite and > 0, got 0"),
-        (("size", *BASE, "--servers", 1, "--occup-max", 0), "target must be finite and > 0, got 0"),
-        (("size", *BASE, "--servers", 1, "--horizon", 0), "target must be finite and > 0, got 0"),
+        pytest.param(
+            ("size", *BASE, "--servers", 1, "--stability", "--horizon", 0),
+            "choose exactly one of", id="size-two-goals",
+        ),
+        pytest.param(
+            ("size", *BASE, "--servers", 1, "--los-target", 0),
+            "target must be finite and > 0, got 0", id="size-los-target-0",
+        ),
+        pytest.param(
+            ("size", *BASE, "--servers", 1, "--occup-max", 0),
+            "target must be finite and > 0, got 0", id="size-occup-max-0",
+        ),
+        pytest.param(
+            ("size", *BASE, "--servers", 1, "--horizon", 0),
+            "target must be finite and > 0, got 0", id="size-horizon-0",
+        ),
         # outputs past MAX_CSV_ROWS entries in all, though under it in each file
-        (("analyze", "--t-call", 1, "--t-service", 1, "--servers", "2..10000", "--stationary-csv"),
-         "stationary CSV rows: 50046339, more than the cap of 1000000"),
-        (("mfpt", "--t-call", 1, "--t-service", 20000, "--servers", "1..10000"),
-         "mfpt.json saturation times: 50015000, more than the cap of 1000000"),
-        (("mfpt", *BASE, "--servers", "1..200", "--t-call-grid", "1..10000:1"),
-         "mfpt_sweep.csv rows: 2000000, more than the cap of 1000000"),
+        pytest.param(
+            ("analyze", "--t-call", 1, "--t-service", 1, "--servers", "2..10000", "--stationary-csv"),
+            "stationary CSV rows: 50046339, more than the cap of 1000000", id="csv-rows-in-all",
+        ),
+        pytest.param(
+            ("mfpt", "--t-call", 1, "--t-service", 20000, "--servers", "1..10000"),
+            "mfpt.json saturation times: 50015000, more than the cap of 1000000",
+            id="mfpt-times-in-all",
+        ),
+        pytest.param(
+            ("mfpt", *BASE, "--servers", "1..200", "--t-call-grid", "1..10000:1"),
+            "mfpt_sweep.csv rows: 2000000, more than the cap of 1000000", id="sweep-rows",
+        ),
         # 10^4 rows, but (10^4 + 1) x 10^4 recurrence steps
-        (("mfpt", "--t-call", 1, "--t-service", 20000, "--servers", 10000,
-          "--t-call-grid", "0.0001..1:0.0001"),
-         "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
-         "100010000, more than the cap of 50000000"),
+        pytest.param(
+            ("mfpt", "--t-call", 1, "--t-service", 20000, "--servers", 10000,
+             "--t-call-grid", "0.0001..1:0.0001"),
+            "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
+            "100010000, more than the cap of 50000000", id="sweep-steps",
+        ),
         # one case per cap, each in the budget rule's one shape
-        (("analyze", *BASE, "--servers", "1..10001"),
-         "entries of servers range '1..10001': 10001, more than the cap of 10000"),
-        (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1..1e9:1e-9"),
-         "entries of t_call_grid range '1..1e9:1e-9': about 1e+18, more than the cap of 10000"),
-        (("analyze", "--t-call", 1, "--t-service", 1.999998, "--servers", 2, "--stationary-csv"),
-         "stationary CSV for servers=2 at rho=0.999999, rows: 20723259, more than the cap of 1000000"),
-        (("simulate", "--mode", "hitting", *BASE, "--servers", 13, "--seed", 1),
-         "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
-         "(lambda + M mu): about 1.9e+08, more than the cap of 100000000"),
-        (("simulate", "--t-call", 1, "--t-service", 1, "--servers", 2, "--seed", 1,
-          "--warmup", 0, "--horizon-min", 1e12),
-         "stationary run events: about 2e+12, more than the cap of 10000000"),
-        (("simulate", "--t-call", 1, "--t-service", 1, "--servers", 2, "--seed", 1,
-          "--warmup", 0, "--horizon-min", 2e6, "--wait-samples"),
-         "wait log rows: about 2e+06, more than the cap of 1000000"),
+        pytest.param(
+            ("analyze", *BASE, "--servers", "1..10001"),
+            "entries of servers range '1..10001': 10001, more than the cap of 10000",
+            id="servers-range-entries",
+        ),
+        pytest.param(
+            ("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1..1e9:1e-9"),
+            "entries of t_call_grid range '1..1e9:1e-9': about 1e+18, more than the cap of 10000",
+            id="grid-range-entries",
+        ),
+        pytest.param(
+            ("analyze", "--t-call", 1, "--t-service", 1.999998, "--servers", 2, "--stationary-csv"),
+            "stationary CSV for servers=2 at rho=0.999999, rows: 20723259, more than the cap of 1000000",
+            id="csv-rows-near-rho-1",
+        ),
+        pytest.param(
+            ("simulate", "--mode", "hitting", *BASE, "--servers", 13, "--seed", 1),
+            "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
+            "(lambda + M mu): about 1.9e+08, more than the cap of 100000000", id="hitting-steps",
+        ),
+        pytest.param(
+            ("simulate", "--t-call", 1, "--t-service", 1, "--servers", 2, "--seed", 1,
+             "--warmup", 0, "--horizon-min", 1e12),
+            "stationary run events: about 2e+12, more than the cap of 10000000",
+            id="stationary-events",
+        ),
+        pytest.param(
+            ("simulate", "--t-call", 1, "--t-service", 1, "--servers", 2, "--seed", 1,
+             "--warmup", 0, "--horizon-min", 2e6, "--wait-samples"),
+            "wait log rows: about 2e+06, more than the cap of 1000000", id="wait-log-rows",
+        ),
         # refused by a budget before any profile is built, which at the fleet
         # of 999999 would take 0.3 s and about 180 MB
-        (("mfpt", "--t-call", 1, "--t-service", 2e6, "--servers", 999999,
-          "--t-call-grid", "0.0001..1:0.0001"),
-         "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
-         "10000000000, more than the cap of 50000000"),
-        (("simulate", "--mode", "hitting", "--t-call", 1, "--t-service", 1, "--servers", 999999,
-          "--seed", 1),
-         "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
-         "(lambda + M mu): about inf, more than the cap of 100000000"),
+        pytest.param(
+            ("mfpt", "--t-call", 1, "--t-service", 2e6, "--servers", 999999,
+             "--t-call-grid", "0.0001..1:0.0001"),
+            "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
+            "10000000000, more than the cap of 50000000", id="sweep-steps-huge-fleet",
+        ),
+        pytest.param(
+            ("simulate", "--mode", "hitting", "--t-call", 1, "--t-service", 1, "--servers", 999999,
+             "--seed", 1),
+            "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
+            "(lambda + M mu): about inf, more than the cap of 100000000", id="hitting-steps-inf",
+        ),
         # the refusal order: every budget, in the order above, before any
         # result is checked, here a T(0) past the float range
-        (("mfpt", "--t-call", 1, "--t-service", 1, "--servers", 10000,
-          "--t-call-grid", "0.0001..1:0.0001"),
-         "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
-         "100010000, more than the cap of 50000000"),
-        (("mfpt", "--t-call", 1, "--t-service", 2e6, "--servers", "999999,999999",
-          "--t-call-grid", "0.0001..1:0.0001"),
-         "mfpt.json saturation times: 2000000, more than the cap of 1000000"),
+        pytest.param(
+            ("mfpt", "--t-call", 1, "--t-service", 1, "--servers", 10000,
+             "--t-call-grid", "0.0001..1:0.0001"),
+            "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
+            "100010000, more than the cap of 50000000", id="sweep-steps-before-inf-time",
+        ),
+        pytest.param(
+            ("mfpt", "--t-call", 1, "--t-service", 2e6, "--servers", "999999,999999",
+             "--t-call-grid", "0.0001..1:0.0001"),
+            "mfpt.json saturation times: 2000000, more than the cap of 1000000",
+            id="mfpt-times-before-sweep-steps",
+        ),
+        # a seed keys the Philox streams in 64 bits; one outside them would
+        # share its streams with a seed inside
+        pytest.param(
+            ("simulate", *BASE, "--servers", 6, "--seed=-1"),
+            "seed must be an integer >= 0, got -1", id="seed-below-0",
+        ),
+        pytest.param(
+            ("simulate", *BASE, "--servers", 6, "--seed", 2**64),
+            "seed must be an integer <= 18446744073709551615, got 18446744073709551616",
+            id="seed-2-to-64",
+        ),
     ],
 )
 def test_refused_with_one_error_line_before_any_output(tmp_path, capsys, argv, message):
@@ -421,7 +478,8 @@ def test_analyze_refuses_the_first_bad_fleet_in_order(tmp_path, capsys, time_lim
 
 def test_analyze_reports_equal_per_fleet_reports(tmp_path):
     # offered load 100: B underflows to 0 below the fleet of 5000, so the
-    # shared Erlang-B pass stops early; the fleets come unsorted and repeated
+    # shared Erlang-B ladder stops stepping early; the fleets come unsorted
+    # and repeated
     fleets = [5000, 101, 300, 101]
     code = run(
         "analyze", "--t-call", 1, "--t-service", 100, "--servers", ",".join(map(str, fleets)),

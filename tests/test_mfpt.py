@@ -5,6 +5,7 @@ import pytest
 from ambuq import ParameterError, SystemParams, mfpt_critical_profile, mfpt_sweep
 from ambuq import mfpt
 from ambuq.cli import SWEEP_CSV_HEADER, write_sweep_csv
+from ambuq.params import read_ladder
 
 from oracles import (
     RateLadder,
@@ -12,6 +13,7 @@ from oracles import (
     hitting_times_dense,
     mfpt_general,
     mfpt_linear_solve,
+    saturation_mean_stepwise,
 )
 
 
@@ -195,6 +197,18 @@ def test_sweep_matches_profile_means():
     for t_call, m, mean in rows:
         profile = mfpt_critical_profile(SystemParams(t_call=t_call, t_service=50.0, servers=m))
         assert mean == pytest.approx(profile.mean_time, rel=1e-12)
+
+
+def test_offsets_ladder_reads_any_fleet_order():
+    params = SystemParams(t_call=1.0, t_service=100.0, servers=1)
+    fleets = [1000, 0, 5, 256, 257, 1000, 0, 10**4, 255, 5]
+    means = [mean for _, mean in read_ladder(mfpt._offsets(params), fleets)]
+    assert means == [saturation_mean_stepwise(params, m) for m in fleets]
+    assert means[1] == means[6] == params.t_call
+    # rho = 0.1 at M = 1000: the mean is past the float range there and after
+    assert means[0] == means[7] == math.inf
+    assert math.isfinite(means[4])
+    assert read_ladder(mfpt._offsets(params), []) == []
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,16 @@ def test_config_validation():
         SimConfig(seed=True)
 
 
+def test_seed_outside_the_stream_key_is_refused():
+    # a seed fills the upper 64 bits of a Philox key; one outside them
+    # would draw the streams of a seed inside (1 and 2**64 + 1 did)
+    for seed, bound in ((-1, ">= 0"), (2**64, "<= 18446744073709551615"), (2**64 + 1, "<=")):
+        with pytest.raises(ParameterError, match=f"^seed must be an integer {bound}"):
+            SimConfig(seed=seed)
+    top = SimConfig(seed=2**64 - 1).seed
+    assert _stream(top, 0).random() != _stream(0, 0).random()
+
+
 def test_config_normalises_integral_floats():
     config = SimConfig(seed=3.0, replications=2.0, start_state=1.0, warmup=10, horizon=20)
     assert (config.seed, config.replications, config.start_state) == (3, 2, 1)

@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import islice, pairwise
 
 import pytest
 
@@ -13,6 +15,7 @@ from ambuq import (
     p_occupation,
     stability_bound,
 )
+from ambuq.sizing import _metric_by_fleet
 
 from oracles import occupation_probability_stepwise
 
@@ -185,7 +188,7 @@ def test_incremental_scan_matches_brute_force(t_call, t_service, m_max):
         else:
             assert result.predicate_value == value, query
         if result.found and query.kind in ("occup_ceiling", "los_target"):
-            # the scan starts from the shared Erlang-B pass; the plain
+            # the scan reads the shared Erlang-B ladder; the plain
             # recurrence must give the same value to the bit
             params = SystemParams(t_call=t_call, t_service=t_service, servers=result.m)
             assert result.predicate_value == _stepwise_metric(query.kind, params, query.t_los)
@@ -193,8 +196,8 @@ def test_incremental_scan_matches_brute_force(t_call, t_service, m_max):
 
 @pytest.mark.parametrize("offered_load", [7000.37, 9000.61])
 def test_scan_at_large_offered_load_matches_stepwise_recurrence(offered_load):
-    # the scan starts from B(start - 1) of the shared Erlang-B pass, here
-    # about 9000 steps long; the answer and its value must be the plain
+    # the scan reads the shared Erlang-B ladder from B(start), here about
+    # 9000 steps in; the answer and its value must be the plain
     # recurrence's, to the bit
     t_call, t_service = 0.02, offered_load * 0.02
     for query in (
@@ -211,3 +214,33 @@ def test_scan_at_large_offered_load_matches_stepwise_recurrence(offered_load):
         )
         assert result.predicate_value == at, query
         assert below > query.target if query.kind == "occup_ceiling" else below < query.target
+
+
+def test_every_scanned_metric_is_monotone_in_the_fleet(time_limit):
+    # a scan that finds no fleet reports the value at m_max as the best one
+    # attained; that holds because occupation falls and LOS and the mean
+    # saturation time rise with M, with no rounding break over the range
+    rng = random.Random(26)
+    near_one = 0
+    with time_limit(2):
+        for case in range(120):  # offered loads 0.01..10^4, spread evenly in log
+            a = 10 ** (-2.0 + 6.0 * (case + rng.random()) / 120)
+            t_call = 10 ** rng.uniform(-2, 1)
+            if case % 3 == 0:  # the first stable fleet within 1e-15..1e-9 of rho = 1
+                servers = math.floor(a) + 1
+                t_service = servers * t_call * (1.0 - 10 ** rng.uniform(-15, -9))
+            else:
+                t_service = a * t_call
+            start = stability_bound(t_call, t_service)
+            params = SystemParams(t_call=t_call, t_service=t_service, servers=start)
+            near_one += derive(params).rho > 1.0 - 2e-9
+            span = 100 + 10 * math.isqrt(start)
+            t_los = rng.choice([0.0, rng.uniform(0.0, 3.0) * t_service])
+            occup = list(islice(_metric_by_fleet("occup_ceiling", params, None), span))
+            los = list(islice(_metric_by_fleet("los_target", params, t_los), span))
+            assert all(x >= y for x, y in pairwise(occup)), (t_call, t_service)
+            assert all(x <= y for x, y in pairwise(los)), (t_call, t_service, t_los)
+            first = SystemParams(t_call=t_call, t_service=t_service, servers=1)
+            means = list(islice(_metric_by_fleet("mfpt_horizon", first, None), 2000))
+            assert all(x <= y for x, y in pairwise(means)), (t_call, t_service)
+    assert near_one == 40

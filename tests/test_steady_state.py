@@ -16,7 +16,8 @@ from ambuq import (
     stationary_profile,
 )
 from ambuq.cli import STATIONARY_CSV_HEADER, write_stationary_csv
-from ambuq.steady_state import _erlang_b, stationary_csv_rows
+from ambuq.params import read_ladder
+from ambuq.steady_state import _blocking, stationary_csv_rows
 
 from oracles import (
     RateLadder,
@@ -235,8 +236,8 @@ def _occupation_cases(seed, count):
 
 
 def test_occupation_by_fleet_is_bit_identical():
-    # one shared pass stopped at the underflow must give, to the bit, what
-    # the plain recurrence gives one fleet at a time
+    # one shared ladder, which stops stepping at the underflow, must give,
+    # to the bit, what the plain recurrence gives one fleet at a time
     zeros = nonzeros = near_one = 0
     for t_call, t_service, fleets in _occupation_cases(seed=2016, count=24):
         values = p_occupation_by_fleet(t_call, t_service, fleets)
@@ -255,11 +256,13 @@ def test_erlang_b_pass_reads_any_fleet_order():
     a = 123.4
     fleets = [800, 0, 5, 256, 257, 800, 0, 10**4, 255, 5]
     assert _underflow_fleet(a) < 800  # so 800 and 10^4 lie past the underflow
-    values = _erlang_b(a, fleets)
+    values = read_ladder(_blocking(a), fleets)
     assert values == [erlang_b_stepwise(a, m) for m in fleets]
     assert values[1] == values[6] == 1.0
     assert values[0] == values[7] == 0.0
-    assert _erlang_b(a, []) == []
+    assert read_ladder(_blocking(a), []) == []
+    # one read per fleet from a fresh ladder agrees with the one pass
+    assert values == [read_ladder(_blocking(a), [m])[0] for m in fleets]
 
 
 def test_occupation_by_fleet_refuses_as_p_occupation_does():
