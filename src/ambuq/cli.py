@@ -24,7 +24,7 @@ from .errors import NoSteadyStateError, ParameterError
 from .mfpt import mfpt_critical_profile, mfpt_sweep
 from .params import SystemParams, as_int, as_real, at_most, derive, is_stable, require_steady_state
 from .service_metrics import _miss, full_report
-from .simulate import SimConfig, compare, simulate_hitting_time, simulate_stationary
+from .simulate import MAX_SEED, SimConfig, compare, simulate_hitting_time, simulate_stationary
 from .sizing import SizingQuery, min_fleet
 from .steady_state import MAX_CSV_ROWS
 from .steady_state import p_occupation_by_fleet, queue_stats, stationary_csv_length, stationary_csv_rows
@@ -48,6 +48,8 @@ WAITS_CSV_HEADER = "call_index,wait_min"
 
 # Largest list a 'lo..hi' fleet range or 'lo..hi:step' grid may expand to.
 MAX_EXPANSION = 10_000
+# CSV rows joined into one string per write: about 0.1 MB of the longest rows.
+_CSV_CHUNK = 4096
 
 @dataclass
 class ScenarioConfig:
@@ -156,7 +158,7 @@ def _load_scenario(args) -> ScenarioConfig:
             None if grid is None
             else _parse_list(grid, "t_call_grid", functools.partial(as_real, positive=True))
         ),
-        seed=None if seed is None else as_int(seed, "seed"),
+        seed=None if seed is None else as_int(seed, "seed", minimum=0, maximum=MAX_SEED),
         replications=as_int(pick("replications", "replications", 1), "replications", minimum=1),
         warmup_min=None if warmup is None else as_real(warmup, "warmup"),
         horizon_min=None if horizon is None else as_real(horizon, "horizon", positive=True),
@@ -233,8 +235,11 @@ def _write_json(write, path: Path, obj) -> None:
 
 
 def _write_csv(write, path: Path, header: str, lines) -> None:
-    """``lines`` are the formatted rows, each ending in a newline."""
-    write(path, itertools.chain((header + "\n",), lines))
+    """``lines`` are the formatted rows, each ending in a newline; they reach
+    ``write`` joined _CSV_CHUNK at a time, one write per chunk."""
+    rows = iter(lines)
+    chunks = iter(lambda: "".join(itertools.islice(rows, _CSV_CHUNK)), "")
+    write(path, itertools.chain((header + "\n",), chunks))
 
 
 def write_sweep_csv(rows, path, write=_write_lines) -> None:

@@ -16,7 +16,7 @@ from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .params import SystemParams, at_most, read_ladder
+from .params import SystemParams, at_most, ladder_order, read_ladder
 
 # Most recurrence steps one sweep may take, (max(fleets) + 1) per call
 # spacing: 6-8 s at the 120-160 ns a step measured on a shared 2-vCPU Xeon,
@@ -101,10 +101,11 @@ def mfpt_sweep(
         (max(fleets) + 1) * len(t_call_grid), MAX_SWEEP_STEPS,
         f"mfpt sweep recurrence steps, (largest fleet + 1) x {len(t_call_grid)} call spacings",
     )
+    order = ladder_order(fleets)
     by_t_call = []
     for t_call in t_call_grid:
         params = SystemParams(t_call=t_call, t_service=t_service, servers=1)
-        by_t_call.append((params.t_call, read_ladder(_offsets(params), fleets)))
+        by_t_call.append((params.t_call, read_ladder(_offsets(params), fleets, order)))
     return [
         (t_call, m, rungs[i][1]) for i, m in enumerate(fleets) for t_call, rungs in by_t_call
     ]

@@ -18,8 +18,12 @@ number below t_los of the queued waits, each wait in its call's arrival
 batch. An event that passes a batch edge first closes the batch with the
 time up to the edge, so a run holds one open histogram and its queue of
 8-byte arrival times, however long it is. Every time average is read off
-the histograms. Per-server busy time is booked per busy period, clipped to
-the measurement window: when the vehicle goes idle, or at the horizon if busy.
+the histograms. The vehicles sit in one list, the busy ones first in their
+current order and the idle ones after them in reverse, so a dispatch or a
+release swaps at most two entries. Each vehicle's busy time is booked per
+busy period, when the vehicle goes idle or at the horizon if busy. At the
+warmup the busy time booked so far is dropped and every period under way is
+booked from the warmup on, so only the measurement window counts.
 
 Every FCFS replication owns a counter-based Philox stream keyed by (seed,
 replication index). Hitting-time walks are drawn HITTING_BLOCK replications
@@ -72,6 +76,8 @@ from .steady_state import MAX_CSV_ROWS
 from .steady_state import p_occupation, queue_conditional_pmf, queue_stats, stationary_profile
 
 _DRAW_BLOCK = 1024
+# Largest seed: with the replication or block index it fills a 128-bit key.
+MAX_SEED = 2**64 - 1
 HITTING_BLOCK = 1024
 MAX_REPLICATIONS = 10**7
 # Most steps a hitting-time run may be expected to take: T(start) x (lambda +
@@ -98,18 +104,22 @@ _QUEUE_DEPTH = 10
 # levels, rho 3), and the eigen solve jumps to about 8 ms on some ladders of
 # 65 levels.
 SPECTRAL_MAX_LEVELS = 32
-# Most events a stationary run may simulate: 6.3-7.8 s at the 0.63-0.78 us
-# per event measured for a 4.8e6-event run on a shared 2-vCPU Xeon, and
-# 4.8-6.7 s and 297 MB for the worst admitted run, a queue that reaches a new
-# occupancy level at almost every event (one vehicle, t_service / t_call =
-# 10^6, 9.9e6 events).
+# Most events a stationary run may simulate: 3.3-3.9 s at the 0.33-0.39 us
+# per event measured for a 2e6-event run (M = 10, rho = 0.8; ten runs) on a
+# shared 2-vCPU Xeon, and 3.2-4.4 s and 297 MB for the worst admitted run, a
+# queue that reaches a new occupancy level at almost every event (one
+# vehicle, t_service / t_call = 10^6, 9.9e6 events).
 MAX_FCFS_EVENTS = 10**7
 N_BATCHES = 20
 # Fewest events of a stationary run per process it is shared by. One fork and
-# its reap cost 2.6-3.2 ms in a 45 MB process on a shared 2-vCPU Xeon, the
-# time of 4.1e3-5.7e3 events at 0.56-0.64 us each, so a child always
-# simulates at least 2.8 times what its fork costs.
+# its reap cost 1.6-1.9 ms in a 30 MB process and 2.9-3.2 ms in a 46 MB one
+# on a shared 2-vCPU Xeon, the time of 4.1e3-9.7e3 events at 0.33-0.39 us
+# each, so a child always simulates at least 1.7 times what its fork costs.
 FORK_MIN_EVENTS = 1 << 14
+# The FCFS queue drops its served calls once they outnumber both this and
+# the calls still waiting: it holds at most this many more than twice its
+# waiting calls, and a short queue is not compacted every other departure.
+_QUEUE_SLACK = 64
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -135,7 +145,7 @@ class SimConfig:
     start_state: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", as_int(self.seed, "seed", minimum=0, maximum=2**64 - 1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", minimum=0, maximum=MAX_SEED))
         object.__setattr__(
             self, "replications",
             as_int(self.replications, "replications", minimum=1, maximum=MAX_REPLICATIONS),
@@ -329,6 +339,28 @@ class _Replication(NamedTuple):
     waits: array
 
 
+def _rate_tables(lam: float, mu: float, m: int) -> tuple[list[float], ...]:
+    """(scale, p_arrival, pick_idle, pick_busy), each indexed by the number
+    k = 0..M of busy vehicles.
+
+    With k vehicles busy the next event comes after an Exp(lam + k mu) time,
+    scale[k] times a standard one, and is an arrival with probability
+    p_arrival[k] = lam / (lam + k mu); a uniform u decides, and what is left
+    of it picks the vehicle: u / p_k among the M - k idle ones on an
+    arrival, (u - p_k) / (1 - p_k) among the k busy ones on a departure,
+    since each busy vehicle is as likely as any other to finish first.
+    pick_idle[k] = (M - k) / p_k and pick_busy[k] = k / (1 - p_k) turn
+    those remainders into list indices.
+    """
+    rates = [lam + k * mu for k in range(m + 1)]
+    return (
+        [1.0 / r for r in rates],
+        [lam / r for r in rates],
+        [(m - k) * r / lam for k, r in enumerate(rates)],
+        [r / mu for r in rates],
+    )
+
+
 def _run_fcfs_replication(
     params: SystemParams,
     config: SimConfig,
@@ -339,29 +371,20 @@ def _run_fcfs_replication(
 ) -> _Replication:
     m = params.servers
     lam = params.arrival_rate
-    mu = params.service_rate
     warmup = config.warmup
     horizon = config.horizon
     gen = _stream(config.seed, rep)
     pick_random = assignment == "random"
-
-    # With k = min(n, M) vehicles busy the next event comes after an
-    # Exp(lam + k mu) time and is an arrival with probability p_k = lam /
-    # (lam + k mu); a uniform u decides, and what is left of it picks the
-    # vehicle: u / p_k among the idle ones on an arrival, (u - p_k) / (1 -
-    # p_k) among the busy ones on a departure, since each busy vehicle is as
-    # likely as any other to finish first. pick_idle[k] = (M - k) / p_k and
-    # pick_busy[k] = k / (1 - p_k) turn those remainders into list indices.
-    rates = [lam + k * mu for k in range(m + 1)]
-    scale = [1.0 / r for r in rates]
-    p_arrival = [lam / r for r in rates]
-    pick_idle = [(m - k) * r / lam for k, r in enumerate(rates)]
-    pick_busy = [r / mu for r in rates]
+    scale, p_arrival, pick_idle, pick_busy = _rate_tables(lam, params.service_rate, m)
+    last = m - 1
 
     n = config.start_state
     k = min(n, m)
-    # the first k calls start in service on the low-index vehicles at t = 0
-    busy_ids = list(range(k))
+    # perm[:k] lists the busy vehicles and perm[k:] the idle ones backwards,
+    # so idle vehicle i is perm[M - 1 - i] and the last idle one is perm[k];
+    # least_index keeps its idle vehicles sorted in idle. The first k calls
+    # start in service on the low-index vehicles at t = 0.
+    perm = [*range(k), *range(last, k - 1, -1)]
     idle = list(range(k, m))
     began = [0.0] * m  # start of each busy vehicle's busy period
     busy = [0.0] * m
@@ -392,107 +415,114 @@ def _run_fcfs_replication(
     wait_edge = edges[0]
 
     t = 0.0
-    draws = itertools.chain.from_iterable(
-        zip(gen.standard_exponential(_DRAW_BLOCK).tolist(), gen.random(_DRAW_BLOCK).tolist())
-        for _ in itertools.count()
-    )
-    for e, u in draws:
-        t += e * scale[k]
-        if t >= edge:
-            # the segment reaches the edge: its time up to the edge closes
-            # the slot, and the next slot opens at level n. A repeated edge
-            # opens a slot that closes empty. An event exactly on the edge
-            # leaves n before any time passes there, so that slot opens
-            # with low > high, which the event's step of one sets right.
-            while t >= edge:
-                if prev < edge:
-                    occ[n] += edge - prev
-                    if slot:
-                        histograms.append((low, np.array(occ[low:high + 1])))
-                    occ[low:high + 1] = [0.0] * (high - low + 1)
-                elif slot:
-                    histograms.append((0, np.zeros(0)))
-                prev = edge
-                slot += 1
-                edge = edges[slot]
-                low, high = (n, n) if prev < t else (n + 1, n - 1)
-            if slot > N_BATCHES:
-                break  # the horizon came first
-        occ[n] += t - prev
-        prev = t
-        p = p_arrival[k]
-        if u < p:
-            # arrival: dispatch it to an idle vehicle or queue it
-            n += 1
-            if n > high:
-                high = n
-                if n == len(occ):
-                    occ.append(0.0)
-            if k < m:
-                if pick_random:
-                    server = idle.pop()
-                    pick = int(u * pick_idle[k])
-                    if pick < len(idle):
-                        idle[pick], server = server, idle[pick]
+    while slot <= N_BATCHES:
+        block = zip(gen.standard_exponential(_DRAW_BLOCK).tolist(), gen.random(_DRAW_BLOCK).tolist())
+        for e, u in block:
+            t += e * scale[k]
+            if t >= edge:
+                # the segment reaches the edge: its time up to the edge
+                # closes the slot, and the next slot opens at level n. A
+                # repeated edge opens a slot that closes empty. An event
+                # exactly on the edge leaves n before any time passes there,
+                # so that slot opens with low > high, which the event's step
+                # of one sets right.
+                while t >= edge:
+                    if prev < edge:
+                        occ[n] += edge - prev
+                        if slot:
+                            histograms.append((low, np.array(occ[low:high + 1])))
+                        occ[low:high + 1] = [0.0] * (high - low + 1)
+                    elif slot:
+                        histograms.append((0, np.zeros(0)))
+                    prev = edge
+                    slot += 1
+                    edge = edges[slot]
+                    low, high = (n, n) if prev < t else (n + 1, n - 1)
+                    if slot == 1:
+                        # busy time counts from the warmup: what was booked
+                        # before is dropped, and a period under way is
+                        # booked from the warmup on
+                        busy = [0.0] * m
+                        for server in perm[:k]:
+                            began[server] = warmup
+                if slot > N_BATCHES:
+                    break  # the horizon came first
+            occ[n] += t - prev
+            prev = t
+            p = p_arrival[k]
+            if u < p:
+                # arrival: dispatch it to an idle vehicle or queue it
+                n += 1
+                if n > high:
+                    high = n
+                    if n == len(occ):
+                        occ.append(0.0)
+                if k < m:
+                    if pick_random:
+                        # the picked idle vehicle; the last one if the
+                        # pick rounds to the end of the list or past it
+                        i = last - int(u * pick_idle[k])
+                        if i < k:
+                            i = k
+                        server = perm[i]
+                        perm[i] = perm[k]
+                    else:
+                        server = idle.pop(0)
+                    perm[k] = server
+                    began[server] = t
+                    k += 1
+                    if collect_waits and slot:
+                        waits.append(0.0)
                 else:
-                    server = idle.pop(0)
-                busy_ids.append(server)
-                began[server] = t
-                k += 1
-                if collect_waits and slot:
-                    waits.append(0.0)
+                    queue.append(t)
             else:
-                queue.append(t)
-        else:
-            # departure: the queue head takes over the vehicle, or a
-            # uniformly chosen busy vehicle goes idle
-            n -= 1
-            if n < low:
-                low = n
-            completions[slot] += 1
-            if n >= m:
-                # n - M calls still wait: drop the served ones once they are more
-                arrival = queue[head]
-                head += 1
-                if head > n - m:
-                    del queue[:head]
-                    head = 0
-                while arrival >= wait_edge:
-                    wait_slot += 1
-                    wait_edge = edges[wait_slot]
-                # only queued calls count toward the conditional wait
-                # statistics; immediate dispatches wait zero and appear
-                # only in the call log
-                wait = t - arrival
-                wait_count[wait_slot] += 1
-                wait_sum[wait_slot] += wait
-                if wait < t_los:
-                    wait_below[wait_slot] += 1
-                if collect_waits:
-                    if unlogged:
-                        unlogged -= 1
-                    elif wait_slot:
-                        waits.append(wait)
-            else:
-                pick = int((u - p) * pick_busy[k])
-                server = busy_ids.pop()
-                if pick < len(busy_ids):
-                    busy_ids[pick], server = server, busy_ids[pick]
-                k -= 1
-                start = began[server]
-                span = t - (start if start > warmup else warmup)
-                if span > 0.0:
-                    busy[server] += span
-                if pick_random:
-                    idle.append(server)
+                # departure: the queue head takes over the vehicle, or a
+                # uniformly chosen busy vehicle goes idle
+                n -= 1
+                if n < low:
+                    low = n
+                completions[slot] += 1
+                if n >= m:
+                    # n - M calls still wait: drop the served ones once they
+                    # are more, and more than a few
+                    arrival = queue[head]
+                    head += 1
+                    if head > _QUEUE_SLACK and head > n - m:
+                        del queue[:head]
+                        head = 0
+                    while arrival >= wait_edge:
+                        wait_slot += 1
+                        wait_edge = edges[wait_slot]
+                    # only queued calls count toward the conditional wait
+                    # statistics; immediate dispatches wait zero and appear
+                    # only in the call log
+                    wait = t - arrival
+                    wait_count[wait_slot] += 1
+                    wait_sum[wait_slot] += wait
+                    if wait < t_los:
+                        wait_below[wait_slot] += 1
+                    if collect_waits:
+                        if unlogged:
+                            unlogged -= 1
+                        elif wait_slot:
+                            waits.append(wait)
                 else:
-                    bisect.insort(idle, server)
+                    # the picked busy vehicle, the last one as for an idle
+                    # pick, swaps with the last busy one, which then
+                    # becomes the last idle one
+                    i = int((u - p) * pick_busy[k])
+                    k -= 1
+                    if i > k:
+                        i = k
+                    server = perm[i]
+                    perm[i] = perm[k]
+                    perm[k] = server
+                    busy[server] += t - began[server]
+                    if not pick_random:
+                        bisect.insort(idle, server)
 
-    for server in busy_ids:
-        start = began[server]
-        span = horizon - (start if start > warmup else warmup)
-        if span > 0.0:
-            busy[server] += span
+    for server in perm[:k]:
+        busy[server] += horizon - began[server]
     # FCFS starts services in call order, so the log is in call order
     return _Replication(
         histograms, completions[1:], wait_count[1:], wait_sum[1:], wait_below[1:], busy, waits

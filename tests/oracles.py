@@ -12,14 +12,17 @@ time per call and a heap of service ends instead of the occupancy chain's
 one draw pair per event, and a whole recorded path tallied into batches
 after the run instead of each batch tallied inside the event loop, and each
 quantity's batch means reduced on their own as a 1-D array instead of row
-by row from one table, and 60-digit mpmath sums on the typed decimals
-instead of the float recurrences for the small probabilities.
+by row from one table, 60-digit mpmath sums on the typed decimals
+instead of the float recurrences for the small probabilities, and two
+vehicle lists with busy spans clipped to the window instead of one vehicle
+list with busy time booked from the warmup.
 
 The reference routes for an arbitrary birth-death ladder live here as well:
 the nested sum/product hitting time, the structured tridiagonal solve, the
 passage time's second-moment recurrence, the truncated product-form
 stationary law, the Gamma waiting-time density, the heap-driven FCFS
-system, the replay of the package's occupancy chain and the
+system, the replay of the package's occupancy chain, the two-list
+vehicle bookkeeping beside the package's one vehicle list, and the
 segment-by-segment batch split of an occupancy path. The package computes
 each of these quantities one way only; these are the second ways.
 """
@@ -29,7 +32,7 @@ import heapq
 import itertools
 import math
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -347,6 +350,78 @@ def replay_path(params, config, rep):
     ends.append(config.horizon)
     levels.append(n)
     return ends, levels
+
+
+def replay_busy(params, config, rep, assignment, pick_scale=1.0):
+    """Each vehicle's busy time in the window in ``_run_fcfs_replication``'s
+    replication ``rep`` (``config`` resolved), and a Counter of the picks
+    that rounded to the end of their list ("at") or past it ("past"), keyed
+    by ("idle" or "busy", where).
+
+    The same draws step the chain as in ``replay_path``, and the vehicles
+    are kept in two lists: an arrival under random assignment takes
+    idle[pick], with ``idle.pop()`` moved into its slot, and least_index
+    takes idle[0]; a departure with no call queued takes busy_ids[pick] the
+    same way and appends it to idle, or inserts it in order under
+    least_index. A pick at or past its list's end takes the popped last
+    vehicle. Each busy period is clipped to the window when its vehicle goes
+    idle, or at the horizon. ``pick_scale`` multiplies both pick factors
+    (a power of two leaves every product's rounding as it is).
+    """
+    m = params.servers
+    lam = params.arrival_rate
+    mu = params.service_rate
+    draws = _Draws(_stream(config.seed, rep))
+    n = config.start_state
+    busy_ids = list(range(min(n, m)))
+    idle = list(range(min(n, m), m))
+    began = [0.0] * m
+    busy = [0.0] * m
+    edge_picks = Counter()
+
+    def take(vehicles, pick, kind):
+        if pick >= len(vehicles):
+            edge_picks[kind, "at" if pick == len(vehicles) else "past"] += 1
+        server = vehicles.pop()
+        if pick < len(vehicles):
+            vehicles[pick], server = server, vehicles[pick]
+        return server
+
+    def book(server, end):
+        span = end - max(began[server], config.warmup)
+        if span > 0.0:
+            busy[server] += span
+
+    t = 0.0
+    while True:
+        k = min(n, m)
+        rate = lam + k * mu
+        t += draws.exponential() * (1.0 / rate)
+        if t >= config.horizon:
+            break
+        u = draws.uniform()
+        p = lam / rate
+        if u < p:
+            n += 1
+            if k < m:
+                if assignment == "random":
+                    server = take(idle, int(u * ((m - k) * rate / lam * pick_scale)), "idle")
+                else:
+                    server = idle.pop(0)
+                busy_ids.append(server)
+                began[server] = t
+        else:
+            n -= 1
+            if n < m:  # no call waits, so the vehicle goes idle
+                server = take(busy_ids, int((u - p) * (rate / mu * pick_scale)), "busy")
+                book(server, t)
+                if assignment == "random":
+                    idle.append(server)
+                else:
+                    bisect.insort(idle, server)
+    for server in busy_ids:
+        book(server, config.horizon)
+    return busy, edge_picks
 
 
 def path_departures_and_waits(ends, levels, servers):

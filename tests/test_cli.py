@@ -363,6 +363,17 @@ def test_size_requires_exactly_one_goal(tmp_path):
             "seed must be an integer <= 18446744073709551615, got 18446744073709551616",
             id="seed-2-to-64",
         ),
+        # every command loads the seed by the same rule, though only
+        # simulate uses it
+        pytest.param(
+            ("analyze", *BASE, "--servers", 6, "--seed=-1"),
+            "seed must be an integer >= 0, got -1", id="analyze-seed-below-0",
+        ),
+        pytest.param(
+            ("mfpt", *BASE, "--servers", 6, "--seed", 2**64),
+            "seed must be an integer <= 18446744073709551615, got 18446744073709551616",
+            id="mfpt-seed-2-to-64",
+        ),
     ],
 )
 def test_refused_with_one_error_line_before_any_output(tmp_path, capsys, argv, message):
@@ -728,6 +739,8 @@ OUT_DIR_IS_A_FILE = "out-dir-is-a-file"
         (("analyze", *BASE, "--servers", "10..4"), None),
         (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "4..3"), None),
         (("mfpt", *BASE, "--servers", 6, "--t-call-grid", "1:2..3"), None),
+        # a config seed outside 0..2^64 - 1, refused by a command that does not use it
+        (("size", "--stability"), {"seed": -1}),
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, config):

@@ -40,6 +40,7 @@ from ambuq.simulate import (
     _hitting_times,
     _ladder_spectrum,
     _occupancy_estimates,
+    _rate_tables,
     _reduce,
     _Replication,
     _run_fcfs_replication,
@@ -56,6 +57,7 @@ from oracles import (
     occupancy_estimates_per_quantity,
     passage_time_moments,
     path_departures_and_waits,
+    replay_busy,
     replay_path,
     run_heap_fcfs_replication,
     simulate_heap_fcfs,
@@ -572,6 +574,52 @@ def test_replication_tallies_match_the_replayed_path(name, assignment, collect_w
         assert result.waits.tolist() == log
     else:
         assert len(result.waits) == 0
+
+
+@pytest.mark.parametrize("assignment", ["random", "least_index"])
+@pytest.mark.parametrize("name", list(REPLAYS))
+def test_vehicle_busy_times_match_the_two_list_replay(name, assignment):
+    # the one vehicle list and busy time booked from the warmup against two
+    # lists and spans clipped to the window, on the same draws: the same bits
+    params, config = REPLAYS[name]
+    cfg = config.resolved(params)
+    result = _run_fcfs_replication(params, cfg, 0, 30.0, assignment, False)
+    assert result.busy == replay_busy(params, cfg, 0, assignment)[0]
+
+
+def with_pick_scale(monkeypatch, factor):
+    """The loop's pick factors times ``factor``, so that picks land at or
+    past the end of their list."""
+
+    def scaled(lam, mu, m):
+        scale, p_arrival, pick_idle, pick_busy = _rate_tables(lam, mu, m)
+        return scale, p_arrival, [x * factor for x in pick_idle], [x * factor for x in pick_busy]
+
+    monkeypatch.setattr("ambuq.simulate._rate_tables", scaled)
+
+
+def test_picks_at_or_past_the_list_end_take_the_last_vehicle(monkeypatch):
+    params, config = REPLAYS["start above M"]
+    cfg = config.resolved(params)
+    # twice the factors: about half the picks land at or past the end
+    with_pick_scale(monkeypatch, 2.0)
+    busy = _run_fcfs_replication(params, cfg, 0, 30.0, "random", False).busy
+    expected, edge_picks = replay_busy(params, cfg, 0, "random", pick_scale=2.0)
+    assert busy == expected
+    assert all(edge_picks[kind, where] > 0 for kind in ("idle", "busy") for where in ("at", "past"))
+    # far past the end every pick takes its list's last vehicle, so both
+    # lists are stacks: from a start with every vehicle busy, vehicle i is
+    # the (i + 1)-th busy one, busy exactly while n > i
+    with_pick_scale(monkeypatch, 2.0**40)
+    busy = _run_fcfs_replication(params, cfg, 0, 30.0, "random", False).busy
+    expected, edge_picks = replay_busy(params, cfg, 0, "random", pick_scale=2.0**40)
+    assert busy == expected
+    assert edge_picks["idle", "past"] > 100 and edge_picks["busy", "past"] > 100
+    histograms = split_histograms(0.0, *replay_path(params, cfg, 0), cfg.warmup, cfg.horizon)
+    m = params.servers
+    for i in range(m):
+        busy_while = sum(time for occ in histograms for n, time in occ.items() if n > i)
+        assert busy[i] == pytest.approx(busy_while, rel=1e-12)
 
 
 def with_draw_block(monkeypatch, size):
