@@ -217,13 +217,6 @@ def _staged_writes():
         raise
 
 
-def _write_lines(path: Path, lines) -> None:
-    """Write one file on its own, through ``_staged_writes``: the default
-    ``write`` of ``write_sweep_csv`` and ``write_stationary_csv``."""
-    with _staged_writes() as write:
-        write(path, lines)
-
-
 def _write_json(write, path: Path, obj) -> None:
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
@@ -242,17 +235,16 @@ def _write_csv(write, path: Path, header: str, lines) -> None:
     write(path, itertools.chain((header + "\n",), chunks))
 
 
-def write_sweep_csv(rows, path, write=_write_lines) -> None:
-    """Write mfpt_sweep rows to CSV with 6 significant digits per value.
-    ``write`` is a command's staged writer; by default the file is written
-    on its own."""
+def write_sweep_csv(rows, path, write) -> None:
+    """Write mfpt_sweep rows to CSV with 6 significant digits per value,
+    through ``write``, the writer of a ``_staged_writes`` block."""
     _write_csv(
         write, Path(path), SWEEP_CSV_HEADER,
         (f"{t_call:.6g},{m},{mean_time:.6g}\n" for t_call, m, mean_time in rows),
     )
 
 
-def write_stationary_csv(params: SystemParams, path, write=_write_lines) -> None:
+def write_stationary_csv(params: SystemParams, path, write) -> None:
     """Write the (n, pi_n) rows of ``stationary_csv_rows`` at full precision.
     ``write`` is as for ``write_sweep_csv``."""
     _write_csv(

@@ -16,7 +16,7 @@ from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .params import SystemParams, at_most, ladder_order, read_ladder
+from .params import SystemParams, at_most, read_ladder
 
 # Most recurrence steps one sweep may take, (max(fleets) + 1) per call
 # spacing: 6-8 s at the 120-160 ns a step measured on a shared 2-vCPU Xeon,
@@ -87,9 +87,11 @@ def mfpt_sweep(
 
     Returns one (t_call, servers, mean_time) row per grid point, fleet-major
     so each curve is contiguous for plotting. Each mean_time equals
-    ``mfpt_critical_profile(...).mean_time`` at that point; one recurrence
-    per call spacing, read at every fleet, supplies them all. A sweep of
-    more than MAX_SWEEP_STEPS steps is refused before the first step.
+    ``mfpt_critical_profile(...).mean_time`` at that point. The recurrences
+    of all call spacings step together as one ladder, whose rung n holds
+    every spacing's rung n, and one read at every fleet supplies them all.
+    A sweep of more than MAX_SWEEP_STEPS steps is refused before the first
+    step.
     """
     if not servers_list or not t_call_grid:
         raise ParameterError("servers_list and t_call_grid must be non-empty")
@@ -101,12 +103,10 @@ def mfpt_sweep(
         (max(fleets) + 1) * len(t_call_grid), MAX_SWEEP_STEPS,
         f"mfpt sweep recurrence steps, (largest fleet + 1) x {len(t_call_grid)} call spacings",
     )
-    order = ladder_order(fleets)
-    by_t_call = []
-    for t_call in t_call_grid:
-        params = SystemParams(t_call=t_call, t_service=t_service, servers=1)
-        by_t_call.append((params.t_call, read_ladder(_offsets(params), fleets, order)))
+    grid = [SystemParams(t_call=t_call, t_service=t_service, servers=1) for t_call in t_call_grid]
+    rungs = read_ladder(zip(*map(_offsets, grid)), fleets)
     return [
-        (t_call, m, rungs[i][1]) for i, m in enumerate(fleets) for t_call, rungs in by_t_call
+        (params.t_call, m, mean)
+        for m, rung in zip(fleets, rungs)
+        for params, (_, mean) in zip(grid, rung)
     ]
-

@@ -64,23 +64,13 @@ def at_most(value, limit: int, what: str):
     return value
 
 
-def ladder_order(fleets: Sequence[int]) -> list[int]:
-    """The indices of ``fleets`` sorted by fleet: the order ``read_ladder``
-    reads them in."""
-    return sorted(range(len(fleets)), key=fleets.__getitem__)
-
-
-def read_ladder(ladder: Iterator, fleets: Sequence[int], order: Sequence[int] | None = None) -> list:
+def read_ladder(ladder: Iterator, fleets: Sequence[int]) -> list:
     """The package's one ladder reader: the rungs of ``ladder``, an iterator
     over rungs n = 0, 1, ..., at each fleet in ``fleets``. One ascending pass
-    serves them all; the fleets may be unsorted or repeated. ``order`` is
-    ``ladder_order(fleets)``, computed here when not given: a caller that
-    reads many ladders at the same fleets sorts them once."""
-    if order is None:
-        order = ladder_order(fleets)
+    serves them all; the fleets may be unsorted or repeated."""
     values = [None] * len(fleets)
     n = 0  # the rung that ladder yields next
-    for i in order:
+    for i in sorted(range(len(fleets)), key=fleets.__getitem__):
         m = fleets[i]
         if m >= n:  # else m repeats the fleet read last
             rung = next(islice(ladder, m - n, None))

@@ -53,8 +53,8 @@ deadlock. Hitting-time runs always run in the calling process.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
+import heapq
 import itertools
 import math
 import os
@@ -382,8 +382,9 @@ def _run_fcfs_replication(
     k = min(n, m)
     # perm[:k] lists the busy vehicles and perm[k:] the idle ones backwards,
     # so idle vehicle i is perm[M - 1 - i] and the last idle one is perm[k];
-    # least_index keeps its idle vehicles sorted in idle. The first k calls
-    # start in service on the low-index vehicles at t = 0.
+    # least_index keeps its idle vehicles in the min-heap idle, which starts
+    # sorted. The first k calls start in service on the low-index vehicles
+    # at t = 0.
     perm = [*range(k), *range(last, k - 1, -1)]
     idle = list(range(k, m))
     began = [0.0] * m  # start of each busy vehicle's busy period
@@ -467,7 +468,7 @@ def _run_fcfs_replication(
                         server = perm[i]
                         perm[i] = perm[k]
                     else:
-                        server = idle.pop(0)
+                        server = heapq.heappop(idle)
                     perm[k] = server
                     began[server] = t
                     k += 1
@@ -519,7 +520,7 @@ def _run_fcfs_replication(
                     perm[k] = server
                     busy[server] += t - began[server]
                     if not pick_random:
-                        bisect.insort(idle, server)
+                        heapq.heappush(idle, server)
 
     for server in perm[:k]:
         busy[server] += horizon - began[server]

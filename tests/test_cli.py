@@ -15,7 +15,7 @@ from ambuq import (
     stationary_profile,
 )
 from ambuq import simulate
-from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _write_lines, build_parser, main
+from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _staged_writes, build_parser, main
 from ambuq.params import MAX_FLEET, at_most
 from ambuq.simulate import MAX_REPLICATIONS
 from ambuq.steady_state import MAX_CSV_ROWS
@@ -835,7 +835,8 @@ def test_writer_removes_its_temp_file_when_the_lines_fail(tmp_path):
         raise RuntimeError("formatting failed")
 
     with pytest.raises(RuntimeError, match="formatting failed"):
-        _write_lines(tmp_path / "out.csv", lines())
+        with _staged_writes() as write:
+            write(tmp_path / "out.csv", lines())
     assert written(tmp_path) == []
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from ambuq import ParameterError, SystemParams, mfpt_critical_profile, mfpt_sweep
 from ambuq import mfpt
-from ambuq.cli import SWEEP_CSV_HEADER, write_sweep_csv
+from ambuq.cli import SWEEP_CSV_HEADER, _staged_writes, write_sweep_csv
 from ambuq.params import read_ladder
 
 from oracles import (
@@ -165,7 +165,8 @@ def test_sweep_over_the_step_cap_is_refused_before_the_first_step(monkeypatch, t
 
 def test_sweep_csv_format(tmp_path):
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(mfpt_sweep(50.0, [6], [13.2, 16.0]), path)
+    with _staged_writes() as write:
+        write_sweep_csv(mfpt_sweep(50.0, [6], [13.2, 16.0]), path, write)
     lines = path.read_text().splitlines()
     assert lines[0] == SWEEP_CSV_HEADER
     assert lines[1].startswith("13.2,6,")
@@ -190,13 +191,23 @@ def test_overflow_gives_inf_never_nan():
 
 
 def test_sweep_matches_profile_means():
-    fleets = [9, 1, 6, 2, 17, 6]
-    grid = [8.0, 13.2, 16, 40.0]
-    rows = mfpt_sweep(50.0, fleets, grid)
-    assert [(tc, m) for tc, m, _ in rows] == [(float(tc), m) for m in fleets for tc in grid]
-    for t_call, m, mean in rows:
-        profile = mfpt_critical_profile(SystemParams(t_call=t_call, t_service=50.0, servers=m))
-        assert mean == pytest.approx(profile.mean_time, rel=1e-12)
+    # the sweep and the profile read the same _offsets bits
+    cases = [
+        (50.0, [9, 1, 6, 2, 17, 6], [8.0, 13.2, 16, 40.0]),
+        # the spacings overflow at different fleets: at M = 300 one rung
+        # holds a finite mean for spacing 1 beside inf for spacing 10
+        (100.0, [300, 40], [1.0, 10.0]),
+        # a repeated spacing
+        (50.0, [3, 8], [16.0, 2.5, 16.0]),
+    ]
+    for t_service, fleets, grid in cases:
+        rows = mfpt_sweep(t_service, fleets, grid)
+        assert [(tc, m) for tc, m, _ in rows] == [(float(tc), m) for m in fleets for tc in grid]
+        for t_call, m, mean in rows:
+            params = SystemParams(t_call=t_call, t_service=t_service, servers=m)
+            assert mean == mfpt_critical_profile(params).mean_time
+    (_, _, finite), (_, _, overflow) = mfpt_sweep(100.0, [300], [1.0, 10.0])
+    assert math.isfinite(finite) and overflow == math.inf
 
 
 def test_offsets_ladder_reads_any_fleet_order():

@@ -520,6 +520,12 @@ REPLAYS = {
     # a window of 8 ulps: the edges round onto shared floats, so some batches are empty
     "repeated edges": (SLOW, SimConfig(seed=6, warmup=3e7, horizon=3e7 + 8 * 2.0**-28, start_state=1)),
     "events on warmup and horizon": (REFERENCE, on_event_times(REFERENCE, 13)),
+    # 300 vehicles, all idle at the start, so least_index's idle heap is nine
+    # levels deep; then about 24 short runs of queueing in 3800 events
+    "large fleet": (
+        SystemParams(t_call=1, t_service=297, servers=300),
+        SimConfig(seed=8, warmup=100.0, horizon=2000.0),
+    ),
 }
 
 

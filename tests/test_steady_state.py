@@ -15,7 +15,7 @@ from ambuq import (
     stability_bound,
     stationary_profile,
 )
-from ambuq.cli import STATIONARY_CSV_HEADER, write_stationary_csv
+from ambuq.cli import STATIONARY_CSV_HEADER, _staged_writes, write_stationary_csv
 from ambuq.params import read_ladder
 from ambuq.steady_state import _blocking, stationary_csv_rows
 
@@ -190,7 +190,8 @@ def test_csv_rows_reach_small_tail(tmp_path):
     total = sum(p for _, p in rows)
     assert total == pytest.approx(1.0, abs=1e-8)
     path = tmp_path / "dist.csv"
-    write_stationary_csv(REFERENCE, path)
+    with _staged_writes() as write:
+        write_stationary_csv(REFERENCE, path, write)
     lines = path.read_text().splitlines()
     assert lines[0] == STATIONARY_CSV_HEADER
     assert len(lines) == len(rows) + 1
