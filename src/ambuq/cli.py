@@ -567,13 +567,99 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _readable(action: argparse.Action) -> bool:
+    """Whether the table route reads ``action`` as argparse does: a help
+    flag, which it leaves to argparse, a store_true flag, or an optional
+    single-valued store flag, none of them required."""
+    kind = type(action)
+    return not action.required and (
+        kind is argparse._HelpAction or kind is argparse._StoreTrueAction
+        or (kind is argparse._StoreAction and bool(action.option_strings) and action.nargs is None)
+    )
+
+
+@functools.cache
+def _flag_tables() -> dict:
+    """The table route's table, read off ``build_parser()``'s own actions
+    once per process: for each command, its flags (option string -> action,
+    help left out) and the attributes argparse gives the command alone,
+    every default and ``func`` among them. A command whose parser holds an
+    action that ``_readable`` refuses, or a mutually exclusive group, has
+    no table, and no command has one when the top-level parser holds more
+    than help and the commands."""
+    parser = build_parser()
+    if [type(a) for a in parser._actions] != [argparse._HelpAction, argparse._SubParsersAction]:
+        return {}
+    tables = {}
+    for name, sub in parser._actions[1].choices.items():
+        if sub._mutually_exclusive_groups or not all(map(_readable, sub._actions)):
+            continue
+        flags = {
+            option: action for action in sub._actions if type(action) is not argparse._HelpAction
+            for option in action.option_strings
+        }
+        tables[name] = (flags, vars(parser.parse_args([name])))
+    return tables
+
+
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace that ``build_parser().parse_args(argv)`` returns, when
+    ``argv`` is a command and then only its flags, spelled out, each valued
+    flag followed by a value that does not start with '-' and that the
+    flag's type and choices take. Any other argv gives None."""
+    table = _flag_tables().get(argv[0]) if argv else None
+    if table is None:
+        return None
+    flags, start = table
+    args = argparse.Namespace()
+    values = vars(args)  # filled in place: Namespace(**values) would setattr each one
+    values.update(start)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = flags.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return args
+
+
 def main(argv=None) -> int:
-    """Run one command. ``main`` loads the scenario and opens the one
-    ``_staged_writes`` block; the command validates, computes, stages its
-    files through ``write`` and returns (exit code, summary lines). The
-    summary is printed only once every file is renamed into place, so a
-    refusal or a failed write anywhere ends in one error line and no file."""
-    args = build_parser().parse_args(argv)
+    """Run one command. ``main`` reads the arguments, loads the scenario and
+    opens the one ``_staged_writes`` block; the command validates, computes,
+    stages its files through ``write`` and returns (exit code, summary
+    lines). The summary is printed only once every file is renamed into
+    place, so a refusal or a failed write anywhere ends in one error line
+    and no file.
+
+    An argv entry that is not a str is refused first, with exit 2. Then an
+    argv that is a command and only its flags, spelled out, each valued one
+    followed by a value that does not start with '-', is read off a table
+    of ``build_parser()``'s own actions (``_table_parse``) into the
+    Namespace argparse would return. Every other argv, such as ``--help``,
+    an abbreviation, ``--flag=value``, a value starting with '-' or any
+    refusal, goes unchanged to ``build_parser().parse_args``, so argparse
+    keeps its usage lines, messages and exit codes."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            print(f"error: argv[{i}] must be a str, got {type(arg).__name__}", file=sys.stderr)
+            return EXIT_CONFIG
+    args = _table_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         scenario = _load_scenario(args)
         with _staged_writes() as write:

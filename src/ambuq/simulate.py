@@ -297,16 +297,20 @@ def simulate_hitting_time(
         )
     walks = math.ceil(config.replications / HITTING_BLOCK) * HITTING_BLOCK
     # T(start) = h(start) + ... + h(M), summed in order as the ladder streams
-    # past; from the first inf h on, every h and so T(start) is inf
+    # past, and only until the steps pass the cap (an inf h passes it), so a
+    # refused count is a lower bound
+    rate = lam + m * mu
     t_start = 0.0
-    for h, _ in itertools.islice(_offsets(params), start_state, m + 1):
+    ladder = itertools.islice(_offsets(params), start_state, m + 1)
+    for level, (h, _) in enumerate(ladder, start_state):
         t_start += h
-        if h == math.inf:
+        if not walks * t_start * rate <= MAX_HITTING_STEPS:
             break
     at_most(
-        walks * t_start * (lam + m * mu), MAX_HITTING_STEPS,
+        walks * t_start * rate, MAX_HITTING_STEPS,
         f"hitting-time steps from state {start_state}, "
-        f"{walks} walks (whole blocks) x T(start) x (lambda + M mu)",
+        f"{walks} walks (whole blocks) x T(start) x (lambda + M mu), "
+        f"a lower bound from T(start) summed to level {level}",
     )
     times = _hitting_times(lam, mu, start_state, m + 1, config.seed, config.replications)
     return _reduce(["hitting_time_mean"], times[None], config.seed)["hitting_time_mean"]

@@ -1,6 +1,10 @@
+import argparse
+import functools
 import json
 import math
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +18,15 @@ from ambuq import (
     mfpt_critical_profile,
     stationary_profile,
 )
-from ambuq import simulate
-from ambuq.cli import STATIONARY_CSV_HEADER, SWEEP_CSV_HEADER, _staged_writes, build_parser, main
+from ambuq import cli, simulate
+from ambuq.cli import (
+    STATIONARY_CSV_HEADER,
+    SWEEP_CSV_HEADER,
+    _staged_writes,
+    _table_parse,
+    build_parser,
+    main,
+)
 from ambuq.params import MAX_FLEET, at_most
 from ambuq.simulate import MAX_REPLICATIONS
 from ambuq.steady_state import MAX_CSV_ROWS
@@ -311,7 +322,8 @@ def test_size_requires_exactly_one_goal(tmp_path):
         pytest.param(
             ("simulate", "--mode", "hitting", *BASE, "--servers", 13, "--seed", 1),
             "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
-            "(lambda + M mu): about 1.9e+08, more than the cap of 100000000", id="hitting-steps",
+            "(lambda + M mu), a lower bound from T(start) summed to level 13: about 1.9e+08, "
+            "more than the cap of 100000000", id="hitting-steps",
         ),
         pytest.param(
             ("simulate", "--t-call", 1, "--t-service", 1, "--servers", 2, "--seed", 1,
@@ -332,11 +344,14 @@ def test_size_requires_exactly_one_goal(tmp_path):
             "mfpt sweep recurrence steps, (largest fleet + 1) x 10000 call spacings: "
             "10000000000, more than the cap of 50000000", id="sweep-steps-huge-fleet",
         ),
+        # h(n) passes the float range near n = 170, but the count passes the
+        # cap at once, so T(start) is summed no further than h(0)
         pytest.param(
             ("simulate", "--mode", "hitting", "--t-call", 1, "--t-service", 1, "--servers", 999999,
              "--seed", 1),
             "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
-            "(lambda + M mu): about inf, more than the cap of 100000000", id="hitting-steps-inf",
+            "(lambda + M mu), a lower bound from T(start) summed to level 0: about 1.02e+09, "
+            "more than the cap of 100000000", id="hitting-steps-inf",
         ),
         # the refusal order: every budget, in the order above, before any
         # result is checked, here a T(0) past the float range
@@ -418,9 +433,9 @@ def test_budget_refusal_builds_no_profile(tmp_path, capsys, argv):
     assert written(tmp_path) == []
 
 
-def test_hitting_budget_stops_at_the_first_infinite_offset(tmp_path, capsys, monkeypatch):
-    # h(n) passes the float range near n = 170 here, so T(0) is inf without
-    # the 10^6 later levels
+def refused_hitting_levels(tmp_path, capsys, monkeypatch, t_service):
+    """The error line of a hitting run at a fleet of 999999 and the number of
+    levels its budget pass took from the ladder."""
     offsets = simulate._offsets
     yielded = 0
 
@@ -431,11 +446,35 @@ def test_hitting_budget_stops_at_the_first_infinite_offset(tmp_path, capsys, mon
             yield offset
 
     monkeypatch.setattr(simulate, "_offsets", counted)
-    assert run("simulate", "--mode", "hitting", "--t-call", 1, "--t-service", 1,
+    assert run("simulate", "--mode", "hitting", "--t-call", 1, "--t-service", t_service,
                "--servers", 999999, "--seed", 1, "--out-dir", tmp_path / "out") == 2
-    assert capsys.readouterr().err.endswith("about inf, more than the cap of 100000000\n")
-    assert 0 < yielded < 1000
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
     assert written(tmp_path) == []
+    return err, yielded
+
+
+def test_hitting_budget_stops_at_the_first_infinite_offset(tmp_path, capsys, monkeypatch):
+    # h(n) passes the float range near n = 170 here, but the count passes
+    # the cap with h(0) alone, so none of the 10^6 later levels is summed
+    err, yielded = refused_hitting_levels(tmp_path, capsys, monkeypatch, 1)
+    assert err.endswith(
+        "(lambda + M mu), a lower bound from T(start) summed to level 0: "
+        "about 1.02e+09, more than the cap of 100000000\n"
+    )
+    assert yielded == 1
+
+
+def test_hitting_budget_stops_where_the_count_passes_the_cap(tmp_path, capsys, monkeypatch, time_limit):
+    # every h(n) is finite at rho = 1 - 1e-6, and the count passes the cap
+    # at level 47655 of 999999
+    with time_limit(1):
+        err, yielded = refused_hitting_levels(tmp_path, capsys, monkeypatch, 1e6)
+    assert err.endswith(
+        "(lambda + M mu), a lower bound from T(start) summed to level 47655: "
+        "about 1e+08, more than the cap of 100000000\n"
+    )
+    assert yielded == 47656
 
 
 def test_analyze_stationary_csv_at_large_offered_load(tmp_path):
@@ -813,6 +852,9 @@ def test_main_is_reentrant(tmp_path, capsys):
                "--horizon-min", 2100, "--compare", "--out-dir", others) == 0
     assert run("size", *BASE, "--servers", 1, "--occup-max", 0.05, "--m-max", 5,
                "--out-dir", others) == 4
+    # argparse parses this one: an abbreviation, and a value after '='
+    assert run("analyze", "--t-call=15", "--t-serv", 50, "--servers", "6,7", "--hours",
+               "--stat", "--out-dir", others) == 0
     with pytest.raises(SystemExit) as refused:
         run("analyze", *BASE, "--servers", 6, "--no-such-flag", "--out-dir", others)
     assert refused.value.code == 2
@@ -827,6 +869,111 @@ def test_main_is_reentrant(tmp_path, capsys):
         assert done.value.code == 0
         helps.append(capsys.readouterr().out)
     assert helps[0] == helps[1] and "analyze" in helps[0]
+
+
+def readme_commands() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("ambuq ")]
+
+
+# the shape of every hitting command of the benchmark's hitting workload
+BENCH_HITTING = (
+    "simulate", "--mode", "hitting", "--compare", "--workers", "1", "--t-call", "16",
+    "--t-service", "50", "--servers", "6", "--start-state", "3", "--replications", "1000",
+    "--seed", "1", "--out-dir", "out",
+)
+
+
+def test_readme_and_benchmark_commands_take_the_table_route(tmp_path, monkeypatch, capsys):
+    argvs = [*readme_commands(), list(BENCH_HITTING)]
+    assert [argv[0] for argv in argvs] == ["analyze", "mfpt", "size", "simulate", "simulate"]
+    for argv in argvs:
+        routed = _table_parse(argv)
+        assert routed is not None, argv
+        assert vars(routed) == vars(build_parser().parse_args(argv))
+    # and main reads them without argparse
+    def refuse():
+        raise AssertionError("argparse parsed a spelled-out argv")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    hitting = [*BENCH_HITTING[:-1], str(tmp_path)]
+    assert main(hitting) == 0
+    assert "hitting time from state 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("mfpt", "--t-call", "16", "--t-service=50", "--servers", "6"), id="equals"),
+        pytest.param(("mfpt", "--t-call", "16", "--t-serv", "50", "--servers", "6"), id="abbreviation"),
+        pytest.param(("simulate", "--t-call", "16", "--t-service", "50", "--servers", "6",
+                      "--seed", "-1"), id="value-starting-with-dash"),
+        pytest.param(("simulate", "--t-call", "16", "--mode", "fast"), id="bad-choice"),
+        pytest.param(("simulate", "--t-call", "16", "--servers"), id="missing-value"),
+        pytest.param(("simulate", "--t-call", "16", "6"), id="stray-value"),
+        pytest.param(("size", "--occup-max", "0.1", "--bogus"), id="unknown-flag"),
+        pytest.param(("size", "--occup-max", "0.1", "-h"), id="help"),
+        pytest.param(("sizes", "--occup-max", "0.1"), id="unknown-command"),
+        pytest.param(("--help",), id="no-command"),
+        pytest.param((), id="empty"),
+    ],
+)
+def test_other_argvs_go_to_argparse(argv):
+    assert _table_parse(list(argv)) is None
+
+
+def test_a_command_with_a_flag_the_route_cannot_read_has_no_table(monkeypatch):
+    def parser_with(top_flag: bool):
+        parser = argparse.ArgumentParser(prog="ambuq")
+        if top_flag:
+            parser.add_argument("--verbose", action="store_true")
+        sub = parser.add_subparsers(dest="command", required=True)
+        sub.add_parser("plain").add_argument("--x", type=int, default="3")
+        sub.add_parser("counted").add_argument("-v", action="count")
+        sub.add_parser("appended").add_argument("--x", action="append")
+        sub.add_parser("required").add_argument("--x", required=True)
+        sub.add_parser("two-values").add_argument("--x", nargs=2)
+        sub.add_parser("positional").add_argument("x")
+        group = sub.add_parser("grouped").add_mutually_exclusive_group()
+        group.add_argument("--a", action="store_true")
+        group.add_argument("--b", action="store_true")
+        return parser
+
+    tables = {}
+    try:
+        for top_flag in (False, True):
+            monkeypatch.setattr(cli, "build_parser", functools.partial(parser_with, top_flag))
+            cli._flag_tables.cache_clear()
+            tables[top_flag] = cli._flag_tables()
+            if not top_flag:
+                # a string default is converted by its type, as argparse does
+                assert vars(_table_parse(["plain"])) == {"command": "plain", "x": 3}
+    finally:
+        cli._flag_tables.cache_clear()
+    assert list(tables[False]) == ["plain"] and tables[True] == {}
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        pytest.param(["analyze", "--t-call", 15, "--t-service", "50", "--servers", "6"], 2,
+                     id="int-value"),
+        pytest.param(["analyze", "--t-call", "15", "--t-service", "50", "--servers", "6",
+                      "--out-dir", None], 8, id="path-out-dir"),
+        pytest.param([b"analyze", "--t-call", "15", "--t-service", "50", "--servers", "6"], 0,
+                     id="bytes-command"),
+        pytest.param(("analyze", "--help", 1.5), 2, id="after-help"),
+    ],
+)
+def test_argv_entry_that_is_not_a_str_exits_2(tmp_path, capsys, monkeypatch, argv, where):
+    # main is called directly: run would turn every entry into a str
+    monkeypatch.chdir(tmp_path)
+    argv = [tmp_path / "out" if a is None else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: argv[{where}] must be a str, got {type(argv[where]).__name__}\n"
+    assert written(tmp_path) == []
 
 
 def test_writer_removes_its_temp_file_when_the_lines_fail(tmp_path):

@@ -8,8 +8,12 @@ Fleet sizes, scan caps and grids stay small so the examples run in seconds.
 finite files or exit 2 or 3 with no file, within a few seconds each. Their
 in-budget inputs are short runs; their over-budget inputs are far over a
 budget, so that a run the budgets allow but that is slow is not generated.
+
+`main`'s table route reads an argv of spelled-out flags into the Namespace
+that argparse would return, and returns nothing for any other argv.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -21,7 +25,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ambuq.cli import main
+from ambuq.cli import _table_parse, build_parser, main
 
 GARBAGE = st.sampled_from(
     ["abc", "", " ", "1.5.3", "nan", "inf", "-inf", "1e400", "0x10", "True", "1,2", "3..", "..4"]
@@ -212,3 +216,81 @@ def test_simulation_and_stationary_csv_finish_cleanly(time_limit, argv):
         else:
             assert code in (2, 3)
             assert files == []
+
+
+# every flag of every command, read off the parser: (option, takes a value, choices)
+FLAGS = {
+    name: [
+        (action.option_strings[-1], action.nargs is None, action.choices)
+        for action in sub._actions if type(action) is not argparse._HelpAction
+    ]
+    for name, sub in build_parser()._actions[1].choices.items()
+}
+# values the route reads, and values it leaves to argparse (a leading '-')
+PLAIN_VALUES = st.one_of(
+    st.sampled_from(["6", "15", "0.5", "1e3", "4..10", "5,7", "10..40:0.2", "abc", "nan", "",
+                     " ", " 6", "6 7", "stationary", "random", "bogus", "analyze", "x=1"]),
+    st.integers(0, 10**6).map(str),
+)
+DASH_VALUES = st.sampled_from(["-1", "-1e5", "--", "-h", "--hours", "-"])
+
+
+@st.composite
+def route_argvs(draw):
+    """An argv and whether the table route must read it: a command (or not)
+    and flags, most spelled out with a plain value, the others as
+    --flag=value, an abbreviation, a value starting with '-', an unknown
+    flag, a stray value or -h, with the last token dropped now and then."""
+    command = draw(st.sampled_from([*FLAGS] * 3 + ["anal", "bogus", "", "-h", "--help"]))
+    flags = FLAGS.get(command, FLAGS["simulate"])
+    names = {option for option, _, _ in flags}
+    items = []  # (tokens, whether the route reads them)
+    forms = ["spelled"] * 8 + ["equals", "abbreviation", "dash", "unknown", "stray", "help"]
+    if draw(st.booleans()):  # half the argvs have only spelled-out flags
+        forms = forms[:1]
+    for _ in range(draw(st.integers(0, 8))):
+        option, valued, choices = draw(st.sampled_from(flags))
+        values = PLAIN_VALUES if choices is None else st.one_of(st.sampled_from(choices), PLAIN_VALUES)
+        value = draw(values)
+        tail = [value] if valued else []
+        form = draw(st.sampled_from(forms))
+        if form == "spelled":
+            items.append(([option, *tail], choices is None or not valued or value in choices))
+        elif form == "dash":
+            items.append(([option, *([draw(DASH_VALUES)] if valued else [])], not valued))
+        elif form == "equals":
+            items.append(([f"{option}={value}"], False))
+        elif form == "abbreviation":
+            short = [option[:k] for k in range(3, len(option)) if option[:k] not in names]
+            items.append(([draw(st.sampled_from(short)), *tail], False))
+        else:
+            token = {"unknown": st.sampled_from(["--no-such-flag", "-x", "--t_call", "--SERVERS"]),
+                     "stray": st.sampled_from(["6", "analyze", "x"]),
+                     "help": st.sampled_from(["-h", "--help"])}[form]
+            items.append(([draw(token)], False))
+    if items and draw(st.integers(0, 4)) == 0:  # drop the last token
+        tokens = items.pop()[0][:-1]
+        if tokens:  # a flag left without its value
+            items.append((tokens, False))
+    argv = [command, *(token for tokens, _ in items for token in tokens)]
+    return argv, command in FLAGS and all(ok for _, ok in items)
+
+
+def _attributes(namespace):
+    # by repr, so that a nan equals a nan and 1 differs from 1.0
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(route_argvs())
+def test_table_route_returns_argparses_namespace_or_nothing(case):
+    argv, readable = case
+    routed = _table_parse(list(argv))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = build_parser().parse_args(argv)
+    except SystemExit:
+        parsed = None
+    if routed is not None:
+        assert parsed is not None and _attributes(routed) == _attributes(parsed)
+    assert (routed is not None) == readable
