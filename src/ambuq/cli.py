@@ -497,109 +497,97 @@ def _cmd_simulate(args, scenario: ScenarioConfig, out_dir: Path, write) -> tuple
     return EXIT_OK, display
 
 
+# Every flag each command declares (option string -> the Action that
+# add_argument returned), filled by build_parser; argparse's own help flag
+# is not declared there, so it is not here.
+_DECLARED: dict[str, dict[str, argparse.Action]] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built at the first call and shared by every
     later ``main`` call in the process. Sharing is safe: each parse makes
     a fresh Namespace, every default is immutable, and the _cmd_*
-    functions look up what they call in this module at call time."""
+    functions look up what they call in this module at call time. Each
+    flag is declared once, here, and recorded in ``_DECLARED``; only
+    store and store_true flags, none required, are declared, since the
+    table route reads no other kind."""
     parser = argparse.ArgumentParser(
         prog="ambuq",
         description="Queueing analytics and fleet sizing for M-server ambulance services",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _DECLARED.clear()
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat JSON scenario file (flags override it)")
-        p.add_argument("--t-call", type=_number, help="mean minutes between calls")
-        p.add_argument("--t-service", type=_number, help="mean service minutes")
-        p.add_argument("--servers", help="fleet size: '6', '5,7', or '4..10'")
-        p.add_argument("--t-los", type=_number, help="level-of-service threshold, minutes (default 30)")
-        p.add_argument("--cost", type=_number, help="cost per attention (default 0)")
-        p.add_argument("--seed", type=_number, help="simulation seed")
-        p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument("--hours", action="store_true", help="display times in hours (files stay in minutes)")
+    def command(name: str, func, help: str):
+        """The command ``name``, with the common flags, and a function that
+        declares one more flag of it."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        flags = _DECLARED[name] = {}
 
-    p_analyze = sub.add_parser("analyze", help="stationary service metrics per fleet size")
-    add_common(p_analyze)
-    p_analyze.add_argument(
+        def add(*option_strings: str, **kwargs) -> None:
+            action = p.add_argument(*option_strings, **kwargs)
+            flags.update(dict.fromkeys(action.option_strings, action))
+
+        add("--config", help="flat JSON scenario file (flags override it)")
+        add("--t-call", type=_number, help="mean minutes between calls")
+        add("--t-service", type=_number, help="mean service minutes")
+        add("--servers", help="fleet size: '6', '5,7', or '4..10'")
+        add("--t-los", type=_number, help="level-of-service threshold, minutes (default 30)")
+        add("--cost", type=_number, help="cost per attention (default 0)")
+        add("--seed", type=_number, help="simulation seed")
+        add("--out-dir", default=".", help="directory for output files")
+        add("--hours", action="store_true", help="display times in hours (files stay in minutes)")
+        return add
+
+    add = command("analyze", _cmd_analyze, help="stationary service metrics per fleet size")
+    add(
         "--stationary-csv", action="store_true",
         help="also write stationary_M{m}.csv occupancy dumps",
     )
-    p_analyze.set_defaults(func=_cmd_analyze)
 
-    p_mfpt = sub.add_parser("mfpt", help="mean time to fleet saturation")
-    add_common(p_mfpt)
-    p_mfpt.add_argument(
+    add = command("mfpt", _cmd_mfpt, help="mean time to fleet saturation")
+    add(
         "--t-call-grid", dest="t_call_grid",
         help="sweep grid: '10,12,14' or '10..40:0.2' (writes mfpt_sweep.csv)",
     )
-    p_mfpt.set_defaults(func=_cmd_mfpt)
 
-    p_size = sub.add_parser("size", help="smallest fleet meeting a target")
-    add_common(p_size)
-    p_size.add_argument("--stability", action="store_true", help="smallest stable fleet")
-    p_size.add_argument("--los-target", type=_number, help="minimum level of service in (0,1]")
-    p_size.add_argument("--occup-max", type=_number, help="maximum occupation probability in (0,1]")
-    p_size.add_argument("--horizon", type=_number, help="minimum mean time to saturation, minutes")
-    p_size.add_argument("--m-max", type=_number, default=1000, help="scan cap (default 1000)")
-    p_size.set_defaults(func=_cmd_size)
+    add = command("size", _cmd_size, help="smallest fleet meeting a target")
+    add("--stability", action="store_true", help="smallest stable fleet")
+    add("--los-target", type=_number, help="minimum level of service in (0,1]")
+    add("--occup-max", type=_number, help="maximum occupation probability in (0,1]")
+    add("--horizon", type=_number, help="minimum mean time to saturation, minutes")
+    add("--m-max", type=_number, default=1000, help="scan cap (default 1000)")
 
-    p_sim = sub.add_parser("simulate", help="stochastic oracle run")
-    add_common(p_sim)
-    p_sim.add_argument("--mode", choices=("stationary", "hitting"), default="stationary")
-    p_sim.add_argument("--replications", type=_number, help="independent replications")
-    p_sim.add_argument("--warmup", type=_number, help="warmup minutes before measurement")
-    p_sim.add_argument("--horizon-min", dest="horizon_min", type=_number, help="total simulated minutes")
-    p_sim.add_argument("--start-state", dest="start_state", type=_number, help="initial calls in system")
-    p_sim.add_argument(
+    add = command("simulate", _cmd_simulate, help="stochastic oracle run")
+    add("--mode", choices=("stationary", "hitting"), default="stationary")
+    add("--replications", type=_number, help="independent replications")
+    add("--warmup", type=_number, help="warmup minutes before measurement")
+    add("--horizon-min", dest="horizon_min", type=_number, help="total simulated minutes")
+    add("--start-state", dest="start_state", type=_number, help="initial calls in system")
+    add(
         "--workers", type=_number, default=1,
         help="processes for a stationary run's replications (an integer >= 1, default 1); "
         "results are the same for every value, and hitting mode ignores it",
     )
-    p_sim.add_argument("--assignment", choices=("random", "least_index"), default="random")
-    p_sim.add_argument("--strict", action="store_true", help="fail unless a seed is given")
-    p_sim.add_argument("--allow-unstable", action="store_true", help="simulate even when rho >= 1")
-    p_sim.add_argument("--compare", action="store_true", help="print analytic-vs-simulated z-scores")
-    p_sim.add_argument("--wait-samples", action="store_true", help="write per-call waits CSV")
-    p_sim.set_defaults(func=_cmd_simulate)
+    add("--assignment", choices=("random", "least_index"), default="random")
+    add("--strict", action="store_true", help="fail unless a seed is given")
+    add("--allow-unstable", action="store_true", help="simulate even when rho >= 1")
+    add("--compare", action="store_true", help="print analytic-vs-simulated z-scores")
+    add("--wait-samples", action="store_true", help="write per-call waits CSV")
 
     return parser
 
 
-def _readable(action: argparse.Action) -> bool:
-    """Whether the table route reads ``action`` as argparse does: a help
-    flag, which it leaves to argparse, a store_true flag, or an optional
-    single-valued store flag, none of them required."""
-    kind = type(action)
-    return not action.required and (
-        kind is argparse._HelpAction or kind is argparse._StoreTrueAction
-        or (kind is argparse._StoreAction and bool(action.option_strings) and action.nargs is None)
-    )
-
-
 @functools.cache
 def _flag_tables() -> dict:
-    """The table route's table, read off ``build_parser()``'s own actions
-    once per process: for each command, its flags (option string -> action,
-    help left out) and the attributes argparse gives the command alone,
-    every default and ``func`` among them. A command whose parser holds an
-    action that ``_readable`` refuses, or a mutually exclusive group, has
-    no table, and no command has one when the top-level parser holds more
-    than help and the commands."""
+    """The table route's table, built once per process: for each command,
+    the flags ``build_parser`` declares (option string -> action) and the
+    attributes argparse gives the command alone, every default and
+    ``func`` among them."""
     parser = build_parser()
-    if [type(a) for a in parser._actions] != [argparse._HelpAction, argparse._SubParsersAction]:
-        return {}
-    tables = {}
-    for name, sub in parser._actions[1].choices.items():
-        if sub._mutually_exclusive_groups or not all(map(_readable, sub._actions)):
-            continue
-        flags = {
-            option: action for action in sub._actions if type(action) is not argparse._HelpAction
-            for option in action.option_strings
-        }
-        tables[name] = (flags, vars(parser.parse_args([name])))
-    return tables
+    return {name: (flags, vars(parser.parse_args([name]))) for name, flags in _DECLARED.items()}
 
 
 def _table_parse(argv: list[str]) -> argparse.Namespace | None:
@@ -647,7 +635,7 @@ def main(argv=None) -> int:
     An argv entry that is not a str is refused first, with exit 2. Then an
     argv that is a command and only its flags, spelled out, each valued one
     followed by a value that does not start with '-', is read off a table
-    of ``build_parser()``'s own actions (``_table_parse``) into the
+    of the flags ``build_parser`` declares (``_table_parse``) into the
     Namespace argparse would return. Every other argv, such as ``--help``,
     an abbreviation, ``--flag=value``, a value starting with '-' or any
     refusal, goes unchanged to ``build_parser().parse_args``, so argparse

@@ -48,7 +48,12 @@ the results are the same bits whatever the worker count. The fork is made
 only when it pays: never for fewer than FORK_MIN_EVENTS events per process,
 never for more processes than CPUs this process may use, and never while a
 second Python thread is alive, since forking a threaded process can
-deadlock. Hitting-time runs always run in the calling process.
+deadlock. That guard counts Python threads only: once numpy is imported,
+the process also holds an OpenBLAS worker thread, which
+threading.active_count() does not see. The child is still safe, because
+it makes no BLAS call: it draws from its own Philox streams, runs the
+pure-Python event loop and pickles its results. Hitting-time runs always
+run in the calling process.
 """
 
 from __future__ import annotations
@@ -269,10 +274,12 @@ def _hitting_times(
     """
     route = _spectral_block if target <= SPECTRAL_MAX_LEVELS else _local_time_block
     block = route(lam, mu, start_state, target)
-    return np.concatenate([
-        block(_stream(seed, first // HITTING_BLOCK), min(HITTING_BLOCK, replications - first))
-        for first in range(0, replications, HITTING_BLOCK)
-    ])
+    # a time past the float range is inf, which sim.json's finite check refuses
+    with np.errstate(over="ignore"):
+        return np.concatenate([
+            block(_stream(seed, first // HITTING_BLOCK), min(HITTING_BLOCK, replications - first))
+            for first in range(0, replications, HITTING_BLOCK)
+        ])
 
 
 def simulate_hitting_time(
@@ -298,16 +305,17 @@ def simulate_hitting_time(
     walks = math.ceil(config.replications / HITTING_BLOCK) * HITTING_BLOCK
     # T(start) = h(start) + ... + h(M), summed in order as the ladder streams
     # past, and only until the steps pass the cap (an inf h passes it), so a
-    # refused count is a lower bound
+    # refused count is a lower bound; T(start) x rate is formed first, since
+    # walks x T(start) alone can pass the float range where the count does not
     rate = lam + m * mu
     t_start = 0.0
     ladder = itertools.islice(_offsets(params), start_state, m + 1)
     for level, (h, _) in enumerate(ladder, start_state):
         t_start += h
-        if not walks * t_start * rate <= MAX_HITTING_STEPS:
+        if not walks * (t_start * rate) <= MAX_HITTING_STEPS:
             break
     at_most(
-        walks * t_start * rate, MAX_HITTING_STEPS,
+        walks * (t_start * rate), MAX_HITTING_STEPS,
         f"hitting-time steps from state {start_state}, "
         f"{walks} walks (whole blocks) x T(start) x (lambda + M mu), "
         f"a lower bound from T(start) summed to level {level}",
@@ -629,15 +637,19 @@ def _reduce(names, table, seed: int) -> dict[str, SimEstimate]:
     batches = table.shape[1]
     if batches == 0:
         return {}
-    std = np.zeros(len(table))
-    if batches > 1:
-        with np.errstate(over="ignore"):
-            std = table.std(axis=1, ddof=1)
-        for i in np.flatnonzero(~np.isfinite(std) & np.isfinite(table).all(axis=1)):
-            # the squared deviations overflowed, not the spread: rescale
-            top = np.abs(table[i]).max()
+    # a row holding an inf gives an inf mean and a nan std, which the JSON
+    # writer refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = table.mean(axis=1)
+        std = table.std(axis=1, ddof=1) if batches > 1 else np.zeros(len(table))
+    for i in np.flatnonzero(~np.isfinite(mean + std) & np.isfinite(table).all(axis=1)):
+        # the sum or the squared deviations overflowed, not the values: rescale
+        top = np.abs(table[i]).max()
+        if not math.isfinite(mean[i]):
+            mean[i] = (table[i] / top).mean() * top
+        if not math.isfinite(std[i]):
             std[i] = (table[i] / top).std(ddof=1) * top
-    rows = zip(names, table.mean(axis=1).tolist(), (std / math.sqrt(batches)).tolist())
+    rows = zip(names, mean.tolist(), (std / math.sqrt(batches)).tolist())
     return {name: SimEstimate(value, std_error, batches, seed) for name, value, std_error in rows}
 
 

@@ -1,5 +1,3 @@
-import argparse
-import functools
 import json
 import math
 import shlex
@@ -50,6 +48,8 @@ def test_analyze_single_fleet(tmp_path, capsys):
     assert report["mean_wait"] == pytest.approx(18.75)
     assert report["t_los"] == 30.0
     assert "M=6" in capsys.readouterr().out
+    # the summary CSV is written only for two or more fleets
+    assert written(tmp_path) == ["report.json"]
 
 
 def test_analyze_fleet_grid_and_summary(tmp_path):
@@ -176,6 +176,21 @@ def test_size_stability(tmp_path):
     # the first stable fleet is the answer, with its float rho as the value
     assert sizing["scanned_range"] == [4, 4]
     assert sizing["predicate_value"] == derive(SystemParams(t_call=15, t_service=50, servers=4)).rho
+
+
+def test_size_stability_past_the_scan_cap_evaluates_no_fleet(tmp_path, capsys):
+    # the stability bound is 51, past m_max: no fleet is evaluated at all
+    code = run(
+        "size", "--stability", "--t-call", 1, "--t-service", 50, "--servers", 1, "--m-max", 10,
+        "--out-dir", tmp_path,
+    )
+    assert code == 4
+    assert capsys.readouterr().out == (
+        "no fleet up to m_max=10 meets stability; best attained: none evaluated\n"
+    )
+    sizing = json.loads((tmp_path / "sizing.json").read_text())
+    assert sizing["predicate_value"] is None and sizing["found"] is False
+    assert sizing["scanned_range"] == [51, 10]
 
 
 def test_stability_verdicts_at_unit_intensity(tmp_path, capsys, monkeypatch):
@@ -352,6 +367,30 @@ def test_size_requires_exactly_one_goal(tmp_path):
             "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
             "(lambda + M mu), a lower bound from T(start) summed to level 0: about 1.02e+09, "
             "more than the cap of 100000000", id="hitting-steps-inf",
+        ),
+        # 1024 walks x T(0) alone would pass the float range; the count does not
+        pytest.param(
+            ("simulate", "--mode", "hitting", "--t-call", "1e308", "--t-service", "1e308",
+             "--servers", 999999, "--seed", 1),
+            "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
+            "(lambda + M mu), a lower bound from T(start) summed to level 0: about 1.02e+09, "
+            "more than the cap of 100000000", id="hitting-steps-near-float-limit",
+        ),
+        # the hitting-steps case with both times scaled by 2e301: the count and
+        # the levels summed stay the same, though 1024 walks x T(13) overflows
+        pytest.param(
+            ("simulate", "--mode", "hitting", "--t-call", "3e302", "--t-service", "1e303",
+             "--servers", 13, "--seed", 1),
+            "hitting-time steps from state 0, 1024 walks (whole blocks) x T(start) x "
+            "(lambda + M mu), a lower bound from T(start) summed to level 13: about 1.9e+08, "
+            "more than the cap of 100000000", id="hitting-steps-scaled-to-1e302",
+        ),
+        # within the step budget, but some walk times pass the float range
+        pytest.param(
+            ("simulate", "--mode", "hitting", "--t-call", "1e307", "--t-service", "1e307",
+             "--servers", 1, "--replications", 1500, "--seed", 1),
+            "sim.json would hold a value that exceeds the floating-point range",
+            id="hitting-times-past-the-float-range",
         ),
         # the refusal order: every budget, in the order above, before any
         # result is checked, here a T(0) past the float range
@@ -690,6 +729,8 @@ def test_simulate_hitting_mode(tmp_path, capsys):
     std_error = payload["std_errors"]["hitting_time_mean"]
     assert abs(estimate - reference) < 3.0 * std_error
     assert "hitting_time_mean" in capsys.readouterr().out
+    # the assignment rule belongs to stationary runs alone
+    assert payload["config"]["assignment"] is None
 
 
 @pytest.mark.parametrize(
@@ -699,6 +740,9 @@ def test_simulate_hitting_mode(tmp_path, capsys):
         pytest.param(1e160, 1e160, 1, id="1e160"),
         # lambda x mu overflows, so the spectrum is formed in units of lambda
         pytest.param(1e-160, 3e-160, 4, id="1e-160"),
+        # 1024 walks x T(0) passes the float range, but the count is 6144 steps
+        # and the times' sum overflows, not the times
+        pytest.param(1e306, 1e306, 1, id="1e306"),
     ],
 )
 def test_simulate_hitting_times_near_1e160_keep_a_finite_std_error(
@@ -922,37 +966,6 @@ def test_other_argvs_go_to_argparse(argv):
     assert _table_parse(list(argv)) is None
 
 
-def test_a_command_with_a_flag_the_route_cannot_read_has_no_table(monkeypatch):
-    def parser_with(top_flag: bool):
-        parser = argparse.ArgumentParser(prog="ambuq")
-        if top_flag:
-            parser.add_argument("--verbose", action="store_true")
-        sub = parser.add_subparsers(dest="command", required=True)
-        sub.add_parser("plain").add_argument("--x", type=int, default="3")
-        sub.add_parser("counted").add_argument("-v", action="count")
-        sub.add_parser("appended").add_argument("--x", action="append")
-        sub.add_parser("required").add_argument("--x", required=True)
-        sub.add_parser("two-values").add_argument("--x", nargs=2)
-        sub.add_parser("positional").add_argument("x")
-        group = sub.add_parser("grouped").add_mutually_exclusive_group()
-        group.add_argument("--a", action="store_true")
-        group.add_argument("--b", action="store_true")
-        return parser
-
-    tables = {}
-    try:
-        for top_flag in (False, True):
-            monkeypatch.setattr(cli, "build_parser", functools.partial(parser_with, top_flag))
-            cli._flag_tables.cache_clear()
-            tables[top_flag] = cli._flag_tables()
-            if not top_flag:
-                # a string default is converted by its type, as argparse does
-                assert vars(_table_parse(["plain"])) == {"command": "plain", "x": 3}
-    finally:
-        cli._flag_tables.cache_clear()
-    assert list(tables[False]) == ["plain"] and tables[True] == {}
-
-
 @pytest.mark.parametrize(
     "argv, where",
     [
@@ -1022,6 +1035,12 @@ def test_unstable_hitting_compare_still_runs(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "sim.json").exists()
+
+
+def test_range_of_one_entry_is_admitted(tmp_path, capsys):
+    assert run("analyze", *BASE, "--servers", "5..5", "--out-dir", tmp_path) == 0
+    assert capsys.readouterr().out.startswith("M=5: rho=0.666667 ")
+    assert written(tmp_path) == ["report.json"]
 
 
 def test_expansion_cap_admits_ten_thousand_entries(tmp_path):

@@ -13,7 +13,6 @@ budget, so that a run the budgets allow but that is slow is not generated.
 that argparse would return, and returns nothing for any other argv.
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -25,7 +24,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ambuq.cli import _table_parse, build_parser, main
+from ambuq.cli import _flag_tables, _table_parse, build_parser, main
 
 GARBAGE = st.sampled_from(
     ["abc", "", " ", "1.5.3", "nan", "inf", "-inf", "1e400", "0x10", "True", "1,2", "3..", "..4"]
@@ -218,13 +217,10 @@ def test_simulation_and_stationary_csv_finish_cleanly(time_limit, argv):
             assert files == []
 
 
-# every flag of every command, read off the parser: (option, takes a value, choices)
+# every flag build_parser declares, per command: (option, takes a value, choices)
 FLAGS = {
-    name: [
-        (action.option_strings[-1], action.nargs is None, action.choices)
-        for action in sub._actions if type(action) is not argparse._HelpAction
-    ]
-    for name, sub in build_parser()._actions[1].choices.items()
+    name: [(option, action.nargs is None, action.choices) for option, action in flags.items()]
+    for name, (flags, _) in _flag_tables().items()
 }
 # values the route reads, and values it leaves to argparse (a leading '-')
 PLAIN_VALUES = st.one_of(

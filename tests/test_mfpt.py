@@ -36,7 +36,7 @@ def test_single_server_profile():
     params = single_server(16.0, 0.32)
     profile = mfpt_critical_profile(params)
     assert profile.times == pytest.approx((16.0 * 2.32, 16.0 * 1.32), rel=1e-12)
-    assert len(profile.times) == 2
+    assert len(profile.times) == 2 and profile.servers == 1
 
 
 def test_degenerate_target_rejected():

@@ -132,6 +132,8 @@ def test_down_rate_matches_min_rule_up_to_three_fleets():
         (dict(t_call="soon", t_service=50, servers=6), "t_call"),
         (dict(t_call=1e-300, t_service=1e300, servers=5), "t_service / t_call"),
         (dict(t_call=1e300, t_service=1e-300, servers=5), "t_service / t_call"),
+        # lambda / mu is inf while mu / lambda = 1e-310 is still above 0
+        (dict(t_call=1e-10, t_service=1e300, servers=1), "t_service / t_call"),
         (dict(t_call=1, t_service=1e-320, servers=5), "t_service / t_call"),
     ],
 )

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from array import array
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from ambuq import simulate
 from ambuq import (
     ParameterError,
     SimConfig,
@@ -31,6 +33,7 @@ from ambuq.simulate import (
     HITTING_BLOCK,
     MAX_FCFS_EVENTS,
     MAX_HITTING_STEPS,
+    MAX_REPLICATIONS,
     N_BATCHES,
     SPECTRAL_MAX_LEVELS,
     SimEstimate,
@@ -318,6 +321,49 @@ def test_hitting_budget_counts_whole_blocks(monkeypatch, time_limit):
     charged = HITTING_BLOCK * mfpt_critical_profile(params).times[0] * (1 / 15 + 12 / 50)
     assert 4e7 < charged < MAX_HITTING_STEPS
     assert simulate_hitting_time(params, 0, SimConfig(seed=1, replications=1)).value == 1.0
+
+
+def test_hitting_budget_admits_the_runs_it_admitted_left_to_right(monkeypatch):
+    # The budget forms walks x (T(start) x (lambda + M mu)), so that walks x
+    # T(start) cannot pass the float range first. On seeded runs charged
+    # within 2% of the cap, it admits exactly the runs that the product
+    # formed left to right admitted, and the two counts differ only in the
+    # last bits.
+    class Admitted(Exception):
+        pass
+
+    def admit(*args):
+        raise Admitted
+
+    monkeypatch.setattr("ambuq.simulate._hitting_times", admit)
+    rng = np.random.default_rng(31)
+    verdicts = []
+    while len(verdicts) < 200:
+        servers = int(rng.integers(1, 13))
+        start = int(rng.integers(0, servers + 1))
+        params = SystemParams(t_call=15.0, t_service=float(rng.uniform(1.0, 40.0)) * servers,
+                              servers=servers)
+        rate = params.arrival_rate + servers * params.service_rate
+        t_start = 0.0
+        for h, _ in itertools.islice(simulate._offsets(params), start, servers + 1):
+            t_start += h
+        blocks = round(MAX_HITTING_STEPS / (HITTING_BLOCK * t_start * rate))
+        walks = blocks * HITTING_BLOCK
+        left_to_right = walks * t_start * rate
+        if not (1 <= blocks and walks <= MAX_REPLICATIONS
+                and abs(left_to_right / MAX_HITTING_STEPS - 1.0) < 0.02):
+            continue
+        assert walks * (t_start * rate) == pytest.approx(left_to_right, rel=4 * sys.float_info.epsilon)
+        config = SimConfig(seed=1, replications=walks - int(rng.integers(0, HITTING_BLOCK)))
+        try:
+            simulate_hitting_time(params, start, config)
+        except Admitted:
+            admitted = True
+        except ParameterError:
+            admitted = False
+        assert admitted == (left_to_right <= MAX_HITTING_STEPS)
+        verdicts.append(admitted)
+    assert 50 < sum(verdicts) < 150
 
 
 def test_heaviest_admitted_single_walk_runs_quickly(time_limit):

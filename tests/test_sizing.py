@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from itertools import islice, pairwise
 
 import pytest
@@ -106,6 +107,28 @@ def test_not_found_carries_best_value():
     assert result.predicate_value == pytest.approx(
         level_of_service(SystemParams(t_call=15, t_service=50, servers=8), 30.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        SizingQuery(kind="occup_ceiling", target=0.15),
+        SizingQuery(kind="los_target", target=0.95, t_los=30.0),
+        SizingQuery(kind="mfpt_horizon", target=480.0),
+    ],
+    ids=lambda query: query.kind,
+)
+def test_a_metric_equal_to_its_goal_meets_it(query):
+    found = min_fleet(15, 50, query)
+    exact = min_fleet(15, 50, replace(query, target=found.predicate_value))
+    # the target is the value at the answer, so the same fleet meets it
+    assert exact.found and (exact.m, exact.predicate_value) == (found.m, found.predicate_value)
+
+
+@pytest.mark.parametrize("kind", ["occup_ceiling", "los_target"])
+def test_a_probability_target_of_1_is_admitted(kind):
+    query = SizingQuery(kind=kind, target=1.0, t_los=30.0)
+    assert query.target == 1.0
 
 
 def test_scan_cap_below_stability_bound():
